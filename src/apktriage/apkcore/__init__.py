@@ -5,7 +5,6 @@ from apktriage.apkcore.errors import (
     CertUndecodable,
     ManifestUndecodable,
     NoManifest,
-    NoSignature,
     NotAZip,
 )
 from apktriage.apkcore.manifest import ManifestInfo, parse_manifest
@@ -14,6 +13,6 @@ from apktriage.apkcore.permissions import PermissionProfile, load_dangerous_db, 
 __all__ = [
     "ApkArtifact", "open_apk", "DN_FIELDS", "SignerIdentity", "extract_signers",
     "ApkError", "CertUndecodable", "ManifestUndecodable", "NoManifest",
-    "NoSignature", "NotAZip", "ManifestInfo", "parse_manifest",
+    "NotAZip", "ManifestInfo", "parse_manifest",
     "PermissionProfile", "load_dangerous_db", "permission_profile",
 ]

@@ -14,9 +14,5 @@ class ManifestUndecodable(ApkError):
     pass
 
 
-class NoSignature(ApkError):
-    pass
-
-
 class CertUndecodable(ApkError):
     pass

@@ -16,7 +16,6 @@ from apktriage.assoc.rules import (
     AssocConfig,
     assoc_signature,
     assoc_snapshot,
-    assoc_url,
     fired_rules,
     overlap,
     shared_ip,
@@ -28,6 +27,6 @@ __all__ = [
     "read_features_jsonl", "write_features_jsonl",
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
     "seed_neighborhood", "AssocConfig", "assoc_signature", "assoc_snapshot",
-    "assoc_url", "fired_rules", "overlap", "shared_ip",
+    "fired_rules", "overlap", "shared_ip",
     "TOP_CATEGORIES", "GroupRow", "group_stats",
 ]

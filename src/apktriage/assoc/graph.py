@@ -1,10 +1,11 @@
-"""Bounded-iteration association graph construction.
+"""Association graph construction.
 
-Every sample seeds a breadth-first expansion over the pairwise-rule
-relation, limited to i_max hops; a rule edge is emitted when its inner
-endpoint lies strictly within the bound. Groups are the connected
-components of the emitted edge set, so the output is independent of
-input ordering and seed order.
+Every pair of samples is tested against the pairwise rules; a pair for
+which at least one rule fires becomes an edge carrying those rules.
+Groups are the connected components of the edge set, so the output is
+independent of input ordering. ``i_max = 0`` disables association (no
+edges, every sample its own group); ``seed_neighborhood`` gives the
+samples within ``i_max`` hops of one seed.
 """
 
 from __future__ import annotations
@@ -63,39 +64,26 @@ def build_graph(samples: list[SampleFeatures], cfg: AssocConfig) -> AssociationG
         raise DuplicateSampleId(", ".join(dupes))
 
     ordered = sorted(samples, key=lambda s: s.sample_id)
-    n = len(ordered)
-    pair_rules: dict[tuple[str, str], tuple[str, ...]] = {}
-    adj: dict[str, set[str]] = {s.sample_id: set() for s in ordered}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rules = fired_rules(ordered[i], ordered[j], cfg)
-            if rules:
-                a, b = ordered[i].sample_id, ordered[j].sample_id
-                pair_rules[(a, b)] = rules
-                adj[a].add(b)
-                adj[b].add(a)
-
-    emitted: set[tuple[str, str]] = set()
-    for seed in adj:
-        for u, depth in _bfs_depths(adj, seed, cfg.i_max).items():
-            if depth < cfg.i_max:
-                for v in adj[u]:
-                    emitted.add((u, v) if u < v else (v, u))
-
-    edges = tuple(sorted((a, b, pair_rules[(a, b)]) for (a, b) in emitted))
-    emitted_adj: dict[str, set[str]] = {s.sample_id: set() for s in ordered}
-    for a, b in emitted:
-        emitted_adj[a].add(b)
-        emitted_adj[b].add(a)
-    groups = _components([s.sample_id for s in ordered], emitted_adj)
-    return AssociationGraph(
-        nodes=tuple(s.sample_id for s in ordered),
-        edges=edges,
-        groups=groups,
-    )
+    nodes = tuple(s.sample_id for s in ordered)
+    edges = []
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    if cfg.i_max >= 1:
+        for i, x in enumerate(ordered):
+            for y in ordered[i + 1:]:
+                rules = fired_rules(x, y, cfg)
+                if rules:
+                    edges.append((x.sample_id, y.sample_id, rules))
+                    adj[x.sample_id].add(y.sample_id)
+                    adj[y.sample_id].add(x.sample_id)
+    return AssociationGraph(nodes=nodes, edges=tuple(edges),
+                            groups=_components(nodes, adj))
 
 
-def _bfs_depths(adj: dict[str, set[str]], seed: str, i_max: int) -> dict[str, int]:
+def seed_neighborhood(g: AssociationGraph, seed: str, i_max: int) -> tuple[str, ...]:
+    """Samples reachable from a seed within i_max association hops."""
+    if seed not in g.nodes:
+        raise KeyError(seed)
+    adj = g.adjacency()
     depths = {seed: 0}
     queue = deque([seed])
     while queue:
@@ -106,14 +94,6 @@ def _bfs_depths(adj: dict[str, set[str]], seed: str, i_max: int) -> dict[str, in
             if v not in depths:
                 depths[v] = depths[u] + 1
                 queue.append(v)
-    return depths
-
-
-def seed_neighborhood(g: AssociationGraph, seed: str, i_max: int) -> tuple[str, ...]:
-    """Samples reachable from a seed within i_max association hops."""
-    if seed not in g.nodes:
-        raise KeyError(seed)
-    depths = _bfs_depths(g.adjacency(), seed, i_max)
     return tuple(sorted(depths))
 
 

@@ -1,6 +1,7 @@
-"""Pairwise association rules: signature, URL-list, snapshot.
+"""Pairwise association rules: signature, domain overlap, shared IP,
+snapshot.
 
-All three are symmetric; blank signature fields never count as matches
+All four are symmetric; blank signature fields never count as matches
 and default/debug signatures are excluded from signature association.
 """
 
@@ -17,9 +18,6 @@ RULE_URL = "Url"
 RULE_SHARED_IP = "SharedIp"
 RULE_SNAPSHOT = "Snapshot"
 
-OVERLAP_COEFFICIENT = "coefficient"
-OVERLAP_JACCARD = "jaccard"
-
 
 @dataclass(frozen=True)
 class AssocConfig:
@@ -27,8 +25,6 @@ class AssocConfig:
     url_overlap_threshold: float = 0.7
     snapshot_threshold: float = 0.9
     min_signature_field_matches: int = 3
-    url_overlap_on: str = "domains"  # or "urls"
-    overlap_metric: str = OVERLAP_COEFFICIENT
 
     def __post_init__(self):
         if self.i_max < 0:
@@ -40,13 +36,11 @@ class AssocConfig:
             raise ValueError("min_signature_field_matches must be positive")
 
 
-def overlap(a: frozenset, b: frozenset, metric: str) -> float:
+def overlap(a: frozenset, b: frozenset) -> float:
+    """Overlap coefficient |a & b| / min(|a|, |b|); 0 when either is empty."""
     if not a or not b:
         return 0.0
-    inter = len(a & b)
-    if metric == OVERLAP_JACCARD:
-        return inter / len(a | b)
-    return inter / min(len(a), len(b))
+    return len(a & b) / min(len(a), len(b))
 
 
 def assoc_signature(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> bool:
@@ -61,16 +55,6 @@ def assoc_signature(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> b
         and sa.dn_fields.get(f, "").strip() == sb.dn_fields.get(f, "").strip()
     )
     return matches >= cfg.min_signature_field_matches
-
-
-def assoc_url(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> bool:
-    if cfg.url_overlap_on == "urls":
-        sets = (a.url_set.urls, b.url_set.urls)
-    else:
-        sets = (a.url_set.domains, b.url_set.domains)
-    if overlap(sets[0], sets[1], cfg.overlap_metric) >= cfg.url_overlap_threshold:
-        return True
-    return shared_ip(a, b)
 
 
 def shared_ip(a: SampleFeatures, b: SampleFeatures) -> bool:
@@ -89,11 +73,7 @@ def fired_rules(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> tuple
     rules = []
     if assoc_signature(a, b, cfg):
         rules.append(RULE_SIGNATURE)
-    if cfg.url_overlap_on == "urls":
-        url_sets = (a.url_set.urls, b.url_set.urls)
-    else:
-        url_sets = (a.url_set.domains, b.url_set.domains)
-    if overlap(url_sets[0], url_sets[1], cfg.overlap_metric) >= cfg.url_overlap_threshold:
+    if overlap(a.url_set.domains, b.url_set.domains) >= cfg.url_overlap_threshold:
         rules.append(RULE_URL)
     if shared_ip(a, b):
         rules.append(RULE_SHARED_IP)

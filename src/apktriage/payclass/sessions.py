@@ -93,9 +93,8 @@ def classify_session(obs, licensed_db,
     """Classify one session.
 
     ThirdParty: licensed payment domain and a single stable recipient.
-    FourthParty: rotating recipients, or an unlicensed domain spread over
-    at least two distinct recipients. Fewer than three observations never
-    yield a confident verdict (Indeterminate).
+    FourthParty: more than one distinct recipient. Fewer than three
+    observations never yield a confident verdict (Indeterminate).
     """
     obs = sorted(obs, key=lambda o: o.request_index)
     if not obs:
@@ -122,8 +121,6 @@ def classify_session(obs, licensed_db,
     if len(recipients) > 1:
         evidence.append(
             f"{len(recipients)} distinct recipients over {len(obs)} requests")
-        kind = KIND_FOURTH_PARTY
-    elif not licensed and len(recipients) >= 2:
         kind = KIND_FOURTH_PARTY
     elif licensed:
         evidence.append(

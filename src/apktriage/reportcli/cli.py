@@ -48,6 +48,7 @@ def _iter_apks(path: str):
 
 def cmd_scan(args, cfg) -> int:
     from apktriage.apkcore import open_apk, load_dangerous_db, permission_profile
+    from apktriage.apkcore.certs import load_known_signatures
     from apktriage.extract import (classify_paradigm, extract_urls,
                                    filter_whitelist, load_suffix_list,
                                    load_whitelist)
@@ -60,12 +61,13 @@ def cmd_scan(args, cfg) -> int:
     suffixes = load_suffix_list(_setting(args, cfg, "suffix_list"))
     wl_path = _setting(args, cfg, "whitelist")
     whitelist = load_whitelist(wl_path) if wl_path else frozenset()
+    known_signatures = load_known_signatures()
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for apk_path in _iter_apks(args.input):
             with open(apk_path, "rb") as f:
-                apk = open_apk(f.read())
+                apk = open_apk(f.read(), known_signatures)
             match = detect_generator(apk, fingerprints)
             decrypted = None
             if match is not None:
@@ -116,7 +118,7 @@ def cmd_scan(args, cfg) -> int:
 def cmd_assoc(args, cfg) -> int:
     from apktriage.assoc import (AssocConfig, build_graph, graph_to_json,
                                  group_stats, read_features_jsonl)
-    from apktriage.reportcli.emit import emit_report
+    from apktriage.reportcli.emit import _write, emit_report
 
     config = AssocConfig(
         i_max=int(_setting(args, cfg, "i_max", 2)),
@@ -128,8 +130,7 @@ def cmd_assoc(args, cfg) -> int:
     )
     features = read_features_jsonl(args.features)
     graph = build_graph(features, config)
-    with open(args.output + ".graph.json", "w", encoding="utf-8") as f:
-        f.write(graph_to_json(graph))
+    _write(args.output + ".graph.json", graph_to_json(graph))
     corpus_size = int(_setting(args, cfg, "corpus_size", 0)) or len(features)
     labels = {s.sample_id: s.label for s in features if s.label}
     rows = group_stats(graph, labels, corpus_size)

@@ -11,7 +11,6 @@ import io
 import json
 import os
 
-from apktriage.assoc.graph import AssociationGraph
 from apktriage.assoc.stats import TOP_CATEGORIES as GROUP_CATEGORIES
 from apktriage.infrawatch.lifespan import LifespanRecord
 from apktriage.reportcli.aggregate import CorpusReport
@@ -83,20 +82,6 @@ def _payload(obj):
                 top: {"dangerous": d, "normal": n, "all": a}
                 for top, (d, n, a) in obj.permission_averages.items()},
             "notices": list(obj.notices),
-        }
-        return header, rows, mirror
-    if isinstance(obj, AssociationGraph):
-        header = ["Sample", "Group", "GroupSize"]
-        membership = {}
-        for i, group in enumerate(obj.groups, start=1):
-            for node in group:
-                membership[node] = (i, len(group))
-        rows = [[node, *membership.get(node, (0, 1))] for node in obj.nodes]
-        mirror = {
-            "nodes": list(obj.nodes),
-            "edges": [{"a": a, "b": b, "rules": list(rules)}
-                      for a, b, rules in obj.edges],
-            "groups": [list(g) for g in obj.groups],
         }
         return header, rows, mirror
     seq = list(obj)

@@ -105,9 +105,8 @@ class TestRules:
 
     def test_overlap_metric(self):
         a, b = frozenset("abc"), frozenset("abcd")
-        assert overlap(a, b, "coefficient") == 1.0
-        assert overlap(a, b, "jaccard") == pytest.approx(3 / 4)
-        assert overlap(frozenset(), b, "coefficient") == 0.0
+        assert overlap(a, b) == 1.0
+        assert overlap(frozenset(), b) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,18 @@ def test_assoc_and_report_pipeline(tmp_path):
     assert (tmp_path / "assoc.csv").exists()
 
 
+def test_assoc_output_into_missing_directory(tmp_path):
+    features = tmp_path / "features.jsonl"
+    features.write_text(json.dumps(
+        {"sample_id": "s1", "signature": None, "urls": [], "domains": [],
+         "ip_literals": [], "resolved_ips": [], "fingerprints": [],
+         "label": None}) + "\n")
+    out = tmp_path / "new" / "sub" / "a"
+    assert main(["assoc", str(features), "--output", str(out)]) == 0
+    for suffix in (".graph.json", ".csv", ".json"):
+        assert (tmp_path / "new" / "sub" / ("a" + suffix)).exists()
+
+
 def test_watch_scripted(tmp_path):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")

@@ -88,8 +88,8 @@ def test_snapshot_threshold_monotonicity(a, b, t1, t2):
 def test_partition_invariants(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     samples = [data.draw(sample_st(f"s{i}")) for i in range(n)]
-    g = build_graph(samples, AssocConfig(i_max=data.draw(
-        st.integers(min_value=0, max_value=4))))
+    cfg = AssocConfig(i_max=data.draw(st.integers(min_value=0, max_value=4)))
+    g = build_graph(samples, cfg)
     # groups partition the node set exactly
     flat = [x for comp in g.groups for x in comp]
     assert sorted(flat) == sorted(g.nodes)
@@ -99,6 +99,17 @@ def test_partition_invariants(data):
     for a, b, rules in g.edges:
         assert membership[a] == membership[b]
         assert rules
+    # edges are exactly the pairs some rule fires on, or none when i_max = 0
+    if cfg.i_max == 0:
+        assert g.edges == ()
+    else:
+        fired = {}
+        for i, x in enumerate(samples):
+            for y in samples[i + 1:]:
+                a, b = sorted((x, y), key=lambda s: s.sample_id)
+                if rules := fired_rules(a, b, cfg):
+                    fired[(a.sample_id, b.sample_id)] = rules
+        assert {(a, b): rules for a, b, rules in g.edges} == fired
 
 
 @CASES
