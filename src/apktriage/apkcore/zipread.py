@@ -85,8 +85,13 @@ def list_entries(data: bytes) -> list[ZipEntry]:
 
 
 def read_entry(data: bytes, entry: ZipEntry) -> bytes:
+    """Entry data, checked against the central directory's size and CRC-32.
+
+    Inflating stops one byte past the declared size, so a stream that
+    claims a small size costs no more memory than that size.
+    """
     off = entry.header_offset
-    if data[off:off + 4] != _LOCAL_SIG:
+    if data[off:off + 4] != _LOCAL_SIG or len(data) < off + 30:
         raise NotAZip(f"bad local header for {entry.path}")
     name_len, extra_len = struct.unpack_from("<HH", data, off + 26)
     start = off + 30 + name_len + extra_len
@@ -94,10 +99,20 @@ def read_entry(data: bytes, entry: ZipEntry) -> bytes:
     if len(raw) != entry.compressed_size:
         raise NotAZip(f"truncated data for {entry.path}")
     if entry.method == STORED:
-        return raw
-    if entry.method == DEFLATED:
+        out = raw
+    elif entry.method == DEFLATED:
+        inflater = zlib.decompressobj(-15)
         try:
-            return zlib.decompress(raw, -15)
+            # One byte more than declared shows an overlong stream; it also
+            # keeps a limit for a zero size, which zlib reads as "none".
+            out = inflater.decompress(raw, entry.size + 1)
         except zlib.error as e:
             raise NotAZip(f"bad deflate stream for {entry.path}: {e}") from None
-    raise NotAZip(f"unsupported compression method {entry.method} for {entry.path}")
+        if not inflater.eof or len(out) != entry.size:
+            raise NotAZip(f"deflate stream for {entry.path} does not inflate "
+                          f"to its declared {entry.size} bytes")
+    else:
+        raise NotAZip(f"unsupported compression method {entry.method} for {entry.path}")
+    if zlib.crc32(out) != entry.crc32:
+        raise NotAZip(f"CRC-32 mismatch for {entry.path}")
+    return out

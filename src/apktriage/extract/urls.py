@@ -9,13 +9,24 @@ from importlib import resources
 from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore.artifact import ApkArtifact
+from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList, load_suffix_list
 
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
-_IPV4_RE = re.compile(r"(?<![\d.])((?:\d{1,3}\.){3}\d{1,3})(?![\d.])")
-_IPV6_RE = re.compile(r"(?<![0-9A-Fa-f:.])((?:[0-9A-Fa-f]{1,4}:){2,7}[0-9A-Fa-f:.]+)")
+# Each IP pattern opens with a character class, so that ``re`` can skip ahead
+# to candidate characters. The check that no digit (or hex digit, ":" or
+# ".") precedes the match is a lookbehind after the first character,
+# spanning that character and the one before it.
+_IPV4_RE = re.compile(r"(\d(?<![\d.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3})(?![\d.])")
+_IPV6_RE = re.compile(r"([0-9A-Fa-f](?<![0-9A-Fa-f:.][0-9A-Fa-f])[0-9A-Fa-f]{0,3}:"
+                      r"(?:[0-9A-Fa-f]{1,4}:){1,6}[0-9A-Fa-f:.]+)")
 _TEXT_SUFFIXES = (".html", ".htm", ".js", ".json", ".xml", ".txt", ".css", ".properties", ".cfg")
-_STRINGS_RE = re.compile(rb"[\x20-\x7e]{6,}")
+# Printable-ASCII runs of at least 6 bytes: mapping printable bytes
+# (0x20-0x7e) to "a" and all others to NUL turns the search for a run into
+# a literal-prefix search, which ``re`` runs far faster than a character
+# class tried at every byte.
+_PRINTABLE_TO_A = bytes(0x61 if 0x20 <= b <= 0x7E else 0 for b in range(256))
+_RUN_RE = re.compile(rb"aaaaaa+")
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 
 
@@ -40,7 +51,10 @@ def normalize_url(raw: str) -> str | None:
         return None
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
-    port = parts.port
+    try:
+        port = parts.port
+    except ValueError:  # out of range or not a number, e.g. ":99999", ":8o80"
+        return None
     netloc = host if port is None or str(port) == _DEFAULT_PORTS[scheme] else f"{host}:{port}"
     return urlunsplit((scheme, netloc, parts.path, parts.query, ""))
 
@@ -94,12 +108,24 @@ def urlset_from_strings(strings, psl: SuffixList | None = None) -> UrlSet:
     return UrlSet(frozenset(urls), frozenset(ips), frozenset(domains))
 
 
+def _printable_runs(data: bytes) -> str:
+    """The entry's printable-ASCII runs, joined by "\n".
+
+    No pattern matches across "\n" and every lookaround treats it like the
+    end of a string, so one scan of the joined text finds exactly what
+    scanning each run on its own finds.
+    """
+    runs = _RUN_RE.finditer(data.translate(_PRINTABLE_TO_A))
+    return b"\n".join([data[m.start():m.end()] for m in runs]).decode("ascii")
+
+
 def extract_urls(apk: ApkArtifact, user_content=None,
                  psl: SuffixList | None = None) -> UrlSet:
     """Scan every string source in the APK for http(s) URLs and IP literals.
 
     Sources: decoded text assets, decrypted user content, and printable
-    ASCII runs from all remaining entries. Order-independent.
+    ASCII runs from all remaining entries. An entry that cannot be read
+    is skipped. Order-independent.
     """
     strings: list[str] = []
     decrypted = dict(user_content.decrypted) if user_content is not None else {}
@@ -108,12 +134,12 @@ def extract_urls(apk: ApkArtifact, user_content=None,
         if data is None:
             try:
                 data = apk.read(entry.path)
-            except Exception:
+            except ApkError:
                 continue
         if entry.path.lower().endswith(_TEXT_SUFFIXES):
             strings.append(data.decode("utf-8", "replace"))
         else:
-            strings.extend(m.group(0).decode("ascii") for m in _STRINGS_RE.finditer(data))
+            strings.append(_printable_runs(data))
     return urlset_from_strings(strings, psl)
 
 

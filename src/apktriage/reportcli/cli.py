@@ -63,6 +63,8 @@ def cmd_scan(args, cfg) -> int:
     whitelist = load_whitelist(wl_path) if wl_path else frozenset()
     known_signatures = load_known_signatures()
 
+    if args.output:
+        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for apk_path in _iter_apks(args.input):
@@ -191,6 +193,7 @@ def cmd_watch(args, cfg) -> int:
 def cmd_payclass(args, cfg) -> int:
     from apktriage.payclass import (channel_breakdown, classify_session,
                                     load_licensed_db, read_observations_jsonl)
+    from apktriage.reportcli.emit import _write
 
     licensed = load_licensed_db(_setting(args, cfg, "licensed_db"))
     sessions = read_observations_jsonl(args.observations)
@@ -205,8 +208,7 @@ def cmd_payclass(args, cfg) -> int:
     }
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

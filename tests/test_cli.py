@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from apktriage.reportcli.cli import main
 
 from apk_builder import build_apk
@@ -63,6 +65,47 @@ def test_assoc_output_into_missing_directory(tmp_path):
     assert main(["assoc", str(features), "--output", str(out)]) == 0
     for suffix in (".graph.json", ".csv", ".json"):
         assert (tmp_path / "new" / "sub" / ("a" + suffix)).exists()
+
+
+def test_scan_output_into_missing_directory(tmp_path):
+    apk = tmp_path / "sample.apk"
+    apk.write_bytes(build_apk(package="com.a"))
+    out = tmp_path / "new" / "sub" / "scan.jsonl"
+    assert main(["scan", str(apk), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["package"] == "com.a"
+
+
+def test_payclass_output_into_missing_directory(tmp_path):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text(json.dumps(
+        {"session_id": "s1", "request_index": 1, "amount": "1.00",
+         "payment_domain": "shady.example", "recipient_id": "acct-1",
+         "channel_hint": "BankTransfer"}) + "\n")
+    licensed = tmp_path / "licensed.txt"
+    licensed.write_text("pay.licensed.example\n")
+    out = tmp_path / "new" / "sub" / "p.json"
+    assert main(["payclass", str(obs), "--licensed-db", str(licensed),
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["sessions"][0]["session_id"] == "s1"
+
+
+@pytest.mark.parametrize("path,body", [
+    ("assets/pay.html", b'<a href="http://pay.evil.com:99999/x">pay</a>'),
+    ("lib/armeabi/libc2.so", b"\x7fELF\x00http://cdn.c.com:8o80/a\x00"),
+], ids=["html-asset", "native-lib"])
+def test_scan_survives_invalid_port(tmp_path, path, body):
+    d = tmp_path / "apks"
+    d.mkdir()
+    (d / "a.apk").write_bytes(build_apk(package="com.a"))
+    (d / "b.apk").write_bytes(build_apk(package="com.b", extra_files={
+        path: body, "assets/ok.js": b'get("https://ok.example/v")'}))
+    (d / "c.apk").write_bytes(build_apk(package="com.c"))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["package"] for r in recs] == ["com.a", "com.b", "com.c"]
+    assert "https://ok.example/v" in recs[1]["urls"]
+    assert not any("evil" in u or "cdn.c.com" in u for u in recs[1]["urls"])
 
 
 def test_watch_scripted(tmp_path):

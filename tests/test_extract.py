@@ -3,8 +3,10 @@ classification and snapshot-fingerprint tests."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apktriage.apkcore import open_apk
+from apktriage.apkcore import ApkError, open_apk
 from apktriage.extract import (
     ImageUndecodable,
     UrlSet,
@@ -18,8 +20,10 @@ from apktriage.extract import (
     snapshot_fingerprint,
     urlset_from_strings,
 )
+from apktriage.extract.urls import _IPV4_RE, _IPV6_RE
 from apktriage.genscan import detect_generator, load_fingerprints
 
+import url_oracle
 from apk_builder import build_apk
 
 PSL = load_suffix_list()
@@ -55,7 +59,9 @@ class TestNormalize:
     def test_normalization(self, raw, expected):
         assert normalize_url(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["ftp://x.com/", "not a url", "http://"])
+    @pytest.mark.parametrize("raw", ["ftp://x.com/", "not a url", "http://",
+                                     "http://pay.evil.com:99999/x",
+                                     "http://cdn.c.com:8o80/a"])
     def test_rejects(self, raw):
         assert normalize_url(raw) is None
 
@@ -85,6 +91,95 @@ class TestUrlExtraction:
     def test_invalid_ipv4_rejected(self):
         u = urlset_from_strings(["addr 999.1.2.3 nope"], PSL)
         assert not u.ip_literals
+
+    def test_corrupt_entry_skipped(self):
+        good = b"\x00http://kept.example/a\x00"
+        bad = b"\x00http://lost.example/b\x00" * 4
+        data = bytearray(build_apk(extra_files={
+            "res/raw/good.bin": good, "res/raw/bad.bin": bad}))
+        # An 0xff byte opens a deflate block of the reserved type 3, which
+        # makes zlib refuse the stream.
+        name = data.find(b"res/raw/bad.bin")
+        start = name + len(b"res/raw/bad.bin")
+        data[start:start + 4] = b"\xff" * 4
+        apk = open_apk(bytes(data))
+        with pytest.raises(ApkError):
+            apk.read("res/raw/bad.bin")
+        u = extract_urls(apk, psl=PSL)
+        assert "http://kept.example/a" in u.urls
+        assert not any("lost" in x for x in u.urls)
+
+
+# Fragments whose joins and breaks exercise every boundary of the printable
+# runs and of the URL and IP patterns.
+_FRAGMENTS = [
+    "http://a.example/x", "HTTPS://B.Example:443/p?q=1", "hTTp://c.example:8080/",
+    "https://pay.evil.com:99999/x", "http://cdn.c.com:8o80/a", "http://[::1]:80/",
+    "http://203.0.113.9:8080/gate", "http://[fe80::1/", "http://",
+    "1.2.3.4", "10.0.0.1.5", "999.1.2.3", "203.0.113.77", "\u0661", "\u0663.1.2.3",
+    "1.2.3.\u0664", "\u0e51", "2001:db8::1", "fe80::1:", "2001:db8::2.", "::ffff:1.2.3.4",
+    "a:b:c", "a:b::1", "1:2:3:4:5:6:7:8", "ABCD:ef01::", "abcde", "abcdef", "12345", "123456",
+    "xy", ".", ":", "/", " ", "\n", "\x00", "\x7f", "\xff", "\x1f",
+]
+_TEXT_NAMES = ["assets/www/app.js", "assets/index.html", "assets/conf.json"]
+_BINARY_NAMES = ["lib/armeabi/libx.so", "res/raw/blob.bin", "assets/pack.dat"]
+
+
+def _entry(fragments) -> bytes:
+    # Latin-1 keeps "\x7f" and "\xff" single raw bytes; the Unicode digits
+    # are written as UTF-8.
+    return b"".join(f.encode("utf-8" if max(f) > "\xff" else "latin-1") for f in fragments)
+
+
+_entries_st = st.lists(st.lists(st.sampled_from(_FRAGMENTS), max_size=12), max_size=3)
+
+
+def _check_apk(files: dict[str, bytes]) -> None:
+    raw = build_apk(extra_files=files)
+    u = extract_urls(open_apk(raw), psl=PSL)
+    assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_extract(raw, PSL)
+
+
+def _check_patterns(text: str) -> None:
+    assert _IPV4_RE.findall(text) == url_oracle.IPV4_RE.findall(text)
+    assert _IPV6_RE.findall(text) == url_oracle.IPV6_RE.findall(text)
+
+
+class TestOracle:
+    """``extract_urls`` against the per-run reference in ``url_oracle``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_entries_st, binary=_entries_st)
+    def test_extract_urls_matches_oracle(self, text, binary):
+        files = {name: _entry(frags) for name, frags in zip(_TEXT_NAMES, text)}
+        files.update((name, _entry(frags)) for name, frags in zip(_BINARY_NAMES, binary))
+        _check_apk(files)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["1", "25", "255", "1234", "fF", "abcd", "\u0661", "x"]),
+        st.sampled_from([".", ".", ".", ":", ":", "::", "\n", ""])),
+        max_size=12).map(lambda parts: "".join(a + b for a, b in parts)))
+    def test_ip_patterns_match_oracle(self, text):
+        _check_patterns(text)
+
+    @pytest.mark.parametrize("text", [
+        "1.2.3.4", "11.2.3.4", ".1.2.3.4", "1.2.3.4.", "1.2.3.45678", "1234.1.2.3",
+        "\u06611.2.3.4", "1.2.3.4\u0661", "a:b::1", "x:a:b::1", ".a:b::1", ":a:b::1",
+        "abcde:1:2", "1:2:3:4:5:6:7:8:9", "fe80::1:", "::1", "ABCD:ef01::",
+    ])
+    def test_ip_pattern_edges_match_oracle(self, text):
+        _check_patterns(text)
+
+    @pytest.mark.parametrize("files", [
+        {"res/raw/runs.bin": b"abcde\x001.2.3.4\x00http://r.example/\x7fabcdef"},
+        {"res/raw/runs.bin": b"\xff12345\x00a:b:c:d\x002001:db8::1.\x00fe80::1:"},
+        {"res/raw/runs.bin": b"\x00a:b::1\x00a:b:c\x00"},  # runs of 6 and 5 bytes
+        {"assets/www/app.js": "\u06611.2.3.4 5.6.7.8\u0661 9.9.9.9".encode()},
+        {"assets/index.html": b"HtTpS://Mixed.Example:443/a http://x.example:99999/"},
+    ])
+    def test_boundary_cases_match_oracle(self, files):
+        _check_apk(files)
 
 
 class TestWhitelist:
