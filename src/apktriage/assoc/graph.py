@@ -1,7 +1,18 @@
 """Association graph construction.
 
-Every pair of samples is tested against the pairwise rules; a pair for
-which at least one rule fires becomes an edge carrying those rules.
+A pair of samples becomes an edge carrying the rules that fire on it.
+``fired_rules`` is evaluated only on candidate pairs: samples that share
+at least one blocking key. Each rule implies a shared key, so blocking
+loses no edge:
+
+- Signature: equal developer fingerprints, or at least ``k`` equal
+  non-blank DN fields, which means a shared ``k``-subset of
+  ``(field, stripped value)`` pairs (``k = min_signature_field_matches``).
+- Url: an overlap above 0 needs a shared registrable domain.
+- SharedIp: a shared resolved IP.
+- Snapshot: a pair within Hamming distance ``d`` agrees exactly on at
+  least one of ``d + 1`` blocks of the 64-bit dHash (pigeonhole).
+
 Groups are the connected components of the edge set, so the output is
 independent of input ordering. ``i_max = 0`` disables association (no
 edges, every sample its own group); ``seed_neighborhood`` gives the
@@ -11,15 +22,18 @@ samples within ``i_max`` hops of one seed.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
+from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
 from apktriage.assoc.rules import AssocConfig, fired_rules
 
 
-class DuplicateSampleId(Exception):
-    pass
+class DuplicateSampleId(ValueError):
+    """Two or more samples share an id; an input error."""
 
 
 @dataclass(frozen=True)
@@ -57,24 +71,62 @@ def _components(nodes, adj) -> tuple[tuple[str, ...], ...]:
     return tuple(comps)
 
 
+def _snapshot_blocks(threshold: float) -> list[tuple[int, int]]:
+    """(shift, mask) of the d + 1 blocks, d the largest Hamming distance
+    the snapshot rule accepts (the same float test as ``similarity``)."""
+    d = max(k for k in range(65) if 1.0 - k / 64.0 >= threshold)
+    bounds = [64 * i // (d + 1) for i in range(d + 2)]
+    return [(lo, (1 << (hi - lo)) - 1) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _blocking_keys(s: SampleFeatures, cfg: AssocConfig, blocks) -> set:
+    """One key per way a rule could fire for s (see the module docstring)."""
+    keys = set()
+    sig = s.developer_signature
+    if sig is not None:
+        keys.add(("fp", sig.fingerprint))
+        dn = [(f, v) for f in DN_FIELDS if (v := sig.dn_fields.get(f, "").strip())]
+        keys.update(("dn", c)
+                    for c in combinations(dn, cfg.min_signature_field_matches))
+    keys.update(("dom", d) for d in s.url_set.domains)
+    keys.update(("ip", ip) for ip in s.resolved_ips)
+    keys.update(("snap", i, (v.hash_bits >> lo) & mask)
+                for v in s.fingerprints for i, (lo, mask) in enumerate(blocks))
+    return keys
+
+
+def _candidate_pairs(ordered: list[SampleFeatures],
+                     cfg: AssocConfig) -> Iterator[tuple[int, int]]:
+    """Yield index pairs (i, j), i < j, of samples sharing a blocking key."""
+    blocks = _snapshot_blocks(cfg.snapshot_threshold)
+    postings: dict[tuple, list[int]] = defaultdict(list)
+    for j, s in enumerate(ordered):
+        earlier: set[int] = set()
+        for key in _blocking_keys(s, cfg, blocks):
+            posting = postings[key]
+            earlier.update(posting)
+            posting.append(j)
+        for i in earlier:
+            yield i, j
+
+
 def build_graph(samples: list[SampleFeatures], cfg: AssocConfig) -> AssociationGraph:
-    ids = [s.sample_id for s in samples]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateSampleId(", ".join(dupes))
+    dupes = sorted(i for i, n in Counter(s.sample_id for s in samples).items() if n > 1)
+    if dupes:
+        raise DuplicateSampleId("duplicate sample ids: " + ", ".join(dupes))
 
     ordered = sorted(samples, key=lambda s: s.sample_id)
     nodes = tuple(s.sample_id for s in ordered)
     edges = []
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     if cfg.i_max >= 1:
-        for i, x in enumerate(ordered):
-            for y in ordered[i + 1:]:
-                rules = fired_rules(x, y, cfg)
-                if rules:
-                    edges.append((x.sample_id, y.sample_id, rules))
-                    adj[x.sample_id].add(y.sample_id)
-                    adj[y.sample_id].add(x.sample_id)
+        fired = sorted((i, j, rules) for i, j in _candidate_pairs(ordered, cfg)
+                       if (rules := fired_rules(ordered[i], ordered[j], cfg)))
+        for i, j, rules in fired:
+            a, b = nodes[i], nodes[j]
+            edges.append((a, b, rules))
+            adj[a].add(b)
+            adj[b].add(a)
     return AssociationGraph(nodes=nodes, edges=tuple(edges),
                             groups=_components(nodes, adj))
 

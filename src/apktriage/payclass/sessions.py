@@ -172,7 +172,10 @@ def read_observations_jsonl(path) -> dict[str, list[PaymentObservation]]:
 
 
 def load_licensed_db(path) -> frozenset[str]:
-    """One licensed payment-service domain per line; # comments allowed."""
+    """One licensed payment-service domain per line; # comments allowed.
+    No path gives an empty DB."""
+    if path is None:
+        return frozenset()
     domains = set()
     with open(path, encoding="utf-8") as f:
         for line in f:

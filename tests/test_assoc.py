@@ -1,10 +1,14 @@
-"""Association rules, bounded-BFS graph construction and group statistics."""
+"""Association rules, blocked graph construction and group statistics."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apktriage.apkcore.certs import CLASS_DEBUG, CLASS_DEVELOPER, SignerIdentity
+from apktriage.apkcore.certs import (CLASS_DEBUG, CLASS_DEVELOPER,
+                                     CLASS_GENERATOR, DN_FIELDS, SignerIdentity)
 from apktriage.assoc import (
     AssocConfig,
     AssociationGraph,
@@ -158,6 +162,128 @@ class TestGraph:
     def test_graph_json_deterministic(self):
         g = build_graph(self._chain(), CFG)
         assert graph_to_json(g) == graph_to_json(build_graph(self._chain(), CFG))
+
+
+def all_pairs_edges(samples, cfg):
+    """Reference edge list: fired_rules on every pair, in sorted (a, b) order."""
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    return tuple((x.sample_id, y.sample_id, rules)
+                 for i, x in enumerate(ordered) for y in ordered[i + 1:]
+                 if (rules := fired_rules(x, y, cfg)))
+
+
+RANDOMS = st.randoms(use_true_random=False)
+
+
+def _max_distance(t):
+    return max(k for k in range(65) if 1.0 - k / 64.0 >= t)
+
+
+@st.composite
+def snapshot_threshold_st(draw):
+    """Exact 1 - k/64 values and their float neighbours, within (0, 1];
+    small k (few blocks) is drawn more often."""
+    k = draw(st.integers(min_value=0, max_value=8) | st.integers(min_value=0, max_value=64))
+    exact = 1.0 - k / 64.0
+    return draw(st.sampled_from(
+        [exact, math.nextafter(exact, 0.0), math.nextafter(exact, 2.0)])
+        .filter(lambda t: 0.0 < t <= 1.0))
+
+
+@st.composite
+def near_duplicate_st(draw, bases, d):
+    """A base hash with 0, d, d + 1 or d + 2 bits flipped: either at
+    random, or one bit at the first or last position of each block of an
+    even split into as many blocks as there are flips, so every block of
+    a split into fewer blocks differs."""
+    base = draw(st.sampled_from(bases))
+    flips = min(64, draw(st.sampled_from([0, d, d + 1, d + 2])))
+    edge = draw(st.sampled_from([None, 0, 1]))
+    if edge is None:
+        bits = draw(RANDOMS).sample(range(64), flips)
+    else:
+        bits = [64 * (i + edge) // flips - edge for i in range(flips)]
+    for bit in bits:
+        base ^= 1 << bit
+    return base
+
+
+@st.composite
+def dn_variant_st(draw, base):
+    """The base DN with each value kept, padded with whitespace, blanked
+    or replaced, so stripped values match where raw values differ."""
+    rng = draw(RANDOMS)
+    return {f: rng.choice([v, v, f" {v}", f"{v} ", f"\t{v} ", "", "  ", "B"])
+            for f, v in base.items()}
+
+
+DN_BASE_ST = st.dictionaries(st.sampled_from(DN_FIELDS),
+                             st.sampled_from(["A", "C", "", " "]), min_size=2)
+SIG_CLASS_ST = st.sampled_from([CLASS_DEVELOPER, CLASS_DEVELOPER, CLASS_DEVELOPER,
+                                CLASS_DEBUG, CLASS_GENERATOR])
+DOMAINS_ST = st.frozensets(st.sampled_from(["a.com", "b.com", "c.net", "d.org"]),
+                           max_size=3)
+IPS_ST = st.frozensets(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
+                       max_size=2)
+NOTHING = st.just(None)
+
+
+class TestBlocking:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blocked_edges_match_all_pairs(self, data):
+        t = data.draw(snapshot_threshold_st())
+        # each link kind is on or off for the whole corpus, so pairs linked
+        # by one kind alone are common
+        on = data.draw(st.fixed_dictionaries(
+            {k: st.booleans() for k in ("dn", "fp", "dom", "ip", "snap")}))
+        dn_base = data.draw(DN_BASE_ST)
+        bases = data.draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            min_size=1, max_size=2))
+        row = st.tuples(
+            dn_variant_st(dn_base) | NOTHING if on["dn"] else NOTHING,
+            st.sampled_from(["f1", "f2"]) | NOTHING if on["fp"] else NOTHING,
+            SIG_CLASS_ST,
+            DOMAINS_ST if on["dom"] else st.just(()),
+            IPS_ST if on["ip"] else st.just(()),
+            st.lists(near_duplicate_st(bases, _max_distance(t)), max_size=2)
+            if on["snap"] else st.just(()))
+        samples = [make_sample(f"s{i}", dn=dn, fingerprint=fp, sig_class=cls,
+                               domains=doms, resolved_ips=ips, hashes=hashes)
+                   for i, (dn, fp, cls, doms, ips, hashes)
+                   in enumerate(data.draw(st.lists(row, min_size=2, max_size=10)))]
+        cfg = AssocConfig(
+            i_max=data.draw(st.integers(min_value=1, max_value=3)),
+            url_overlap_threshold=data.draw(st.sampled_from(
+                [1e-9, 0.25, 0.5, 0.7, 1.0])),
+            snapshot_threshold=t,
+            min_signature_field_matches=data.draw(
+                st.integers(min_value=1, max_value=3)
+                | st.integers(min_value=1, max_value=9)))
+        assert build_graph(samples, cfg).edges == all_pairs_edges(samples, cfg)
+
+    def test_padded_dn_fields_link(self):
+        # equal once stripped, different raw: the DN keys must be stripped
+        a = make_sample("a", dn={"commonName": " A", "organization": "B ",
+                                 "locality": "C", "country": " "})
+        b = make_sample("b", dn={"commonName": "A", "organization": "\tB",
+                                 "locality": " C ", "country": ""})
+        assert build_graph([a, b], CFG).edges == (("a", "b", ("Signature",)),)
+
+    @pytest.mark.parametrize("t,d", [(1.0, 0), (0.9, 6), (1.0 - 6 / 64.0, 6),
+                                     (math.nextafter(1.0 - 6 / 64.0, 1.0), 5),
+                                     (5e-324, 63)])
+    def test_snapshot_pair_at_max_distance_is_an_edge(self, t, d):
+        # d flipped bits, one in each block of a d-block split, so only
+        # d + 1 blocks find the pair; one more bit puts it out of range
+        near = sum(1 << (64 * i // d) for i in range(d))
+        far = near | 1 << 63
+        samples = [make_sample(sid, hashes=[h])
+                   for sid, h in (("a", 0), ("b", near), ("c", far))]
+        edges = build_graph(samples, AssocConfig(snapshot_threshold=t)).edges
+        assert ("a", "b", ("Snapshot",)) in edges
+        assert ("a", "c", ("Snapshot",)) not in edges
 
 
 def brute_components(nodes, edges):

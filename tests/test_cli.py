@@ -67,6 +67,18 @@ def test_assoc_output_into_missing_directory(tmp_path):
         assert (tmp_path / "new" / "sub" / ("a" + suffix)).exists()
 
 
+def test_assoc_duplicate_ids_are_an_input_error(tmp_path, capsys):
+    row = {"sample_id": "X", "signature": None, "urls": [], "domains": [],
+           "ip_literals": [], "resolved_ips": [], "fingerprints": [],
+           "label": None}
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(json.dumps(dict(row, sample_id=sid)) + "\n"
+                                for sid in ("X", "Y", "X", "Z", "Y")))
+    assert main(["assoc", str(features), "--output", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "X, Y" in err
+
+
 def test_scan_output_into_missing_directory(tmp_path):
     apk = tmp_path / "sample.apk"
     apk.write_bytes(build_apk(package="com.a"))
@@ -146,6 +158,17 @@ def test_payclass_cli(tmp_path):
     result = json.loads(out.read_text())
     assert result["sessions"][0]["service_kind"] == "FourthParty"
     assert result["fourth_party_channels"][0]["channel"] == "BankTransfer"
+
+
+def test_payclass_without_licensed_db(tmp_path):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text(json.dumps(
+        {"session_id": "s1", "request_index": 1, "amount": "1.00",
+         "payment_domain": "pay.example", "recipient_id": "acct-1",
+         "channel_hint": "BankTransfer"}) + "\n")
+    out = tmp_path / "p.json"
+    assert main(["payclass", str(obs), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["sessions"][0]["session_id"] == "s1"
 
 
 def test_report_cli_and_invalid_labels(tmp_path):
