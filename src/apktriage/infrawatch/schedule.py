@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 from apktriage.infrawatch.backends import BackendUnavailable, Prober, Resolver, WhoisClient
 from apktriage.infrawatch.timeline import (
@@ -79,20 +79,28 @@ def schedule(domains, window: Window, cadence: timedelta,
              store: TimelineStore | None = None,
              dead_status: int = DEFAULT_DEAD_STATUS) -> dict[str, DomainTimeline]:
     """Monitor every domain across the window. Resumes from persisted
-    timelines when a store is supplied: already-covered ticks are skipped."""
-    timelines: dict[str, DomainTimeline] = {}
-    for domain in sorted(set(domains)):
-        t = store.load(domain) if store else DomainTimeline(domain=domain)
-        timelines[domain] = t
-        if whois is not None and t.whois is None:
-            rec = whois.lookup(domain)
-            if rec is not None:
-                t.whois = rec
-                if store:
-                    store.set_whois(domain, rec)
-        last = t.last_tick()
-        for tick in ticks(window, cadence):
-            if last is not None and tick <= last:
-                continue
-            monitor_tick(t, tick, resolver, prober, store, dead_status)
+    timelines when a store is supplied: already-covered ticks are skipped.
+    Ticks run as UTC whole seconds, the form the store keeps, so the
+    returned timelines equal what the store loads back. Every domain is
+    loaded, and its name checked, before the first tick runs."""
+    tick_list = [t.astimezone(timezone.utc).replace(microsecond=0)
+                 for t in ticks(window, cadence)]
+    timelines = {d: store.load(d) if store else DomainTimeline(domain=d)
+                 for d in sorted(set(domains))}
+    try:
+        for domain, t in timelines.items():
+            if whois is not None and t.whois is None:
+                rec = whois.lookup(domain)
+                if rec is not None:
+                    t.whois = rec
+                    if store:
+                        store.set_whois(domain, rec)
+            last = t.last_tick()
+            for tick in tick_list:
+                if last is not None and tick <= last:
+                    continue
+                monitor_tick(t, tick, resolver, prober, store, dead_status)
+    finally:
+        if store:
+            store.close()
     return timelines

@@ -1,9 +1,21 @@
-"""Per-domain probe/resolution history with append-only JSONL persistence."""
+"""Per-domain probe/resolution history with append-only JSONL persistence.
+
+The store keeps one file per domain, ``<domain>.jsonl``, so a domain
+name must be usable as a file name and map back to itself: names that
+are empty, ``.`` or ``..``, or that contain ``/`` or NUL are rejected.
+Each event is one JSON line; every timestamp is stored as UTC whole
+seconds (``YYYY-MM-DDTHH:MM:SSZ``). A line counts as a record only once
+its newline is written: ``load`` drops an unterminated final line (a
+write torn by a crash), and the first append to a file in a run cuts
+such a tail off before writing. A bad line that does end in a newline
+still raises.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,19 +56,26 @@ class DomainTimeline:
     probes: list[Probe] = field(default_factory=list)
     whois: WhoisRecord | None = None
     gaps: list[tuple[datetime, str]] = field(default_factory=list)
+    # ts of the earliest non-NXDOMAIN resolution (an empty IP set counts)
+    _first_resolved: datetime | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        self._first_resolved = min((r.ts for r in self.resolutions if not r.nxdomain),
+                                   default=None)
 
     def add_resolution(self, r: Resolution) -> None:
         if self.resolutions and r.ts <= self.resolutions[-1].ts:
             raise ValueError("resolution timestamps must be strictly increasing")
         self.resolutions.append(r)
+        if self._first_resolved is None and not r.nxdomain:
+            self._first_resolved = r.ts
 
     def add_probe(self, p: Probe) -> None:
         if self.probes and p.ts <= self.probes[-1].ts:
             raise ValueError("probe timestamps must be strictly increasing")
-        if p.alive:
-            prior = [r for r in self.resolutions if r.ts <= p.ts and not r.nxdomain]
-            if not prior:
-                raise ValueError("alive probe requires a prior non-NXDOMAIN resolution")
+        if p.alive and (self._first_resolved is None or self._first_resolved > p.ts):
+            raise ValueError("alive probe requires a prior non-NXDOMAIN resolution")
         self.probes.append(p)
 
     def last_tick(self) -> datetime | None:
@@ -66,27 +85,72 @@ class DomainTimeline:
 
 
 def _ts(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+
+
+_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 
 
 def _parse_ts(s: str) -> datetime:
-    return datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    """Inverse of ``_ts``; any other form raises ValueError."""
+    m = _TS.fullmatch(s)
+    if m is None:
+        raise ValueError(f"bad store timestamp {s!r}")
+    return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class TimelineStore:
-    """One append-only JSON-lines file per domain, one record per event."""
+    """One append-only JSON-lines file per domain, one record per event.
+
+    The file of the domain last appended to stays open, and each record
+    is flushed as it is written; ``close`` ends the run."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._domain: str | None = None
+        self._file = None
 
     def _path(self, domain: str) -> Path:
-        safe = domain.replace("/", "_")
-        return self.root / f"{safe}.jsonl"
+        if domain in ("", ".", "..") or "/" in domain or "\0" in domain:
+            raise ValueError(f"domain {domain!r} cannot name a store file")
+        return self.root / f"{domain}.jsonl"
+
+    def _open(self, domain: str):
+        """Open for appending, cutting any unterminated final line."""
+        f = open(self._path(domain), "a+b")
+        try:
+            end = pos = f.seek(0, os.SEEK_END)
+            while pos:
+                step = min(pos, 4096)
+                f.seek(pos - step)
+                nl = f.read(step).rfind(b"\n")
+                if nl >= 0:
+                    pos += nl + 1 - step
+                    break
+                pos -= step
+            if pos != end:
+                f.truncate(pos)
+        except BaseException:
+            f.close()
+            raise
+        return f
 
     def append(self, domain: str, record: dict) -> None:
-        with open(self._path(domain), "a", encoding="utf-8") as f:
-            f.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        if domain != self._domain:
+            self.close()
+            self._file = self._open(domain)
+            self._domain = domain
+        self._file.write((_encode(record) + "\n").encode("utf-8"))
+        self._file.flush()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+        self._domain = self._file = None
 
     def append_resolution(self, domain: str, r: Resolution) -> None:
         self.append(domain, {"ts": _ts(r.ts), "kind": "resolution",
@@ -109,25 +173,25 @@ class TimelineStore:
         path = self._path(domain)
         if not path.exists():
             return t
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                ts = _parse_ts(rec["ts"])
-                kind = rec["kind"]
-                if kind == "resolution":
-                    ips = rec["payload"]
-                    t.add_resolution(Resolution(ts, None if ips is None else frozenset(ips)))
-                elif kind == "probe":
-                    t.add_probe(Probe(ts, rec["payload"]["alive"], rec["payload"]["detail"]))
-                elif kind == "gap":
-                    t.gaps.append((ts, rec["payload"]))
-                elif kind == "whois":
-                    p = rec["payload"]
-                    t.whois = WhoisRecord(p.get("registrant", ""), p.get("country", ""),
-                                          p.get("created", ""))
+        with open(path, encoding="utf-8", newline="") as f:
+            lines = f.read().split("\n")
+        for line in lines[:-1]:  # the last piece is "" or an unterminated line
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            ts = _parse_ts(rec["ts"])
+            kind = rec["kind"]
+            if kind == "resolution":
+                ips = rec["payload"]
+                t.add_resolution(Resolution(ts, None if ips is None else frozenset(ips)))
+            elif kind == "probe":
+                t.add_probe(Probe(ts, rec["payload"]["alive"], rec["payload"]["detail"]))
+            elif kind == "gap":
+                t.gaps.append((ts, rec["payload"]))
+            elif kind == "whois":
+                p = rec["payload"]
+                t.whois = WhoisRecord(p.get("registrant", ""), p.get("country", ""),
+                                      p.get("created", ""))
         return t
 
     def domains(self) -> list[str]:

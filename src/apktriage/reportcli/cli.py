@@ -172,9 +172,10 @@ def cmd_watch(args, cfg) -> int:
     else:
         resolver, prober, whois = DnsResolver(), HttpProber(), None
 
-    schedule(domains, window, cadence, resolver, prober, whois, store)
-
-    timelines = {d: store.load(d) for d in store.domains()}
+    watched = schedule(domains, window, cadence, resolver, prober, whois, store)
+    # sorted store order: classify_bindings sums floats in this order
+    timelines = {d: watched[d] if d in watched else store.load(d)
+                 for d in store.domains()}
     mtimes = {}
     mtime_path = _setting(args, cfg, "manifest_mtimes")
     if mtime_path:

@@ -1,6 +1,8 @@
 """End-to-end command-line tests over fixture inputs."""
 
 import json
+import re
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -140,6 +142,99 @@ def test_watch_scripted(tmp_path):
     assert lifespans[0]["end_kind"] == "ObservedDeath"
     summary = json.loads((tmp_path / "watch.bindings.json").read_text())
     assert summary["domains"] == 1
+
+
+# per tick: [resolver answer, prober answer]; the prober is asked only
+# when the answer holds addresses
+WATCH_PLAN = {
+    "a.example": [[["1.1.1.1"], 200], [["1.1.1.1"], 200], ["gap", None],
+                  [["2.2.2.2"], "gap"], [["2.2.2.2"], 503], [None, None],
+                  [["3.3.3.3"], 200]],
+    "b.example": [[[], None], [["1.1.1.1"], 302], [["1.1.1.1"], 200],
+                  [["1.1.1.1"], 200], [None, None], [["4.4.4.4"], 404],
+                  [["4.4.4.4"], 200]],
+}
+WATCH_SPLIT = 3
+WATCH_OUTPUTS = (".lifespan.csv", ".lifespan.json", ".bindings.json")
+
+
+def _watch_script(path, part):
+    script = {"resolutions": {}, "probes": {},
+              "whois": {d: {"registrant": "r-" + d} for d in WATCH_PLAN}}
+    for d, plan in WATCH_PLAN.items():
+        script["resolutions"][d] = [ips for ips, _ in plan[part]]
+        script["probes"][d] = [s for ips, s in plan[part] if ips not in ("gap", None, [])]
+    path.write_text(json.dumps(script))
+    return str(path)
+
+
+def _watch(tmp_path, name, store, start, last_tick, part):
+    domains = tmp_path / "domains.txt"
+    domains.write_text("".join(d + "\n" for d in WATCH_PLAN))
+    t0 = datetime.fromisoformat(start)
+    script = _watch_script(tmp_path / f"{name}.script.json", part)
+    return main(["watch", str(domains), "--store", str(tmp_path / store),
+                 "--output", str(tmp_path / name), "--window-start", start,
+                 "--window-end", (t0 + timedelta(days=last_tick)).isoformat(),
+                 "--script", script])
+
+
+def _store_lines(root):
+    mask = re.compile(r'("kind":"whois",.*"ts":)"[^"]*"')
+    return {p.name: [mask.sub(r'\1"-"', line) for line in p.read_text().splitlines()]
+            for p in sorted(root.iterdir())}
+
+
+def _assert_resume_matches_uninterrupted(tmp_path):
+    for ext in WATCH_OUTPUTS:
+        assert (tmp_path / f"resume{ext}").read_bytes() == (tmp_path / f"one{ext}").read_bytes()
+    assert _store_lines(tmp_path / "split") == _store_lines(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("start", [
+    "2021-01-01T00:00:00+00:00", "2021-01-01T00:00:00.5+00:00",
+    "2021-01-01T08:00:00+08:00", "2021-01-01T08:00:00.999999+08:00"])
+def test_watch_resume_equals_uninterrupted(tmp_path, start):
+    n = len(WATCH_PLAN["a.example"])
+    assert _watch(tmp_path, "one", "whole", start, n - 1, slice(None)) == 0
+    assert _watch(tmp_path, "fresh", "split", start, WATCH_SPLIT - 1,
+                  slice(0, WATCH_SPLIT)) == 0
+    assert _watch(tmp_path, "resume", "split", start, n - 1, slice(WATCH_SPLIT, None)) == 0
+    _assert_resume_matches_uninterrupted(tmp_path)
+    # a further resume has nothing left to do and changes nothing
+    before = _store_lines(tmp_path / "split")
+    assert _watch(tmp_path, "again", "split", start, n - 1, slice(n, None)) == 0
+    assert _store_lines(tmp_path / "split") == before
+    for ext in WATCH_OUTPUTS:
+        assert (tmp_path / f"again{ext}").read_bytes() == (tmp_path / f"one{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("tail", [
+    '{"kind":"probe","payl',
+    '{"kind":"resolution","payload":["9.9.9.9"],"ts":"2021-01-04T00:00:00Z"}',
+], ids=["partial", "unterminated-record"])
+def test_watch_resumes_after_torn_tail(tmp_path, tail):
+    start, n = "2021-01-01T00:00:00+00:00", len(WATCH_PLAN["a.example"])
+    assert _watch(tmp_path, "one", "whole", start, n - 1, slice(None)) == 0
+    assert _watch(tmp_path, "fresh", "split", start, WATCH_SPLIT - 1,
+                  slice(0, WATCH_SPLIT)) == 0
+    with open(tmp_path / "split" / "a.example.jsonl", "a", encoding="utf-8") as f:
+        f.write(tail)  # a crash in the middle of the next record
+    assert _watch(tmp_path, "resume", "split", start, n - 1, slice(WATCH_SPLIT, None)) == 0
+    _assert_resume_matches_uninterrupted(tmp_path)
+
+
+def test_watch_rejects_unmappable_domain(tmp_path, capsys):
+    domains = tmp_path / "domains.txt"
+    domains.write_text("a.example\nx/y.example\n")
+    store = tmp_path / "store"
+    code = main(["watch", str(domains), "--store", str(store),
+                 "--output", str(tmp_path / "w"),
+                 "--window-start", "2021-01-01", "--window-end", "2021-01-03",
+                 "--script", _watch_script(tmp_path / "s.json", slice(None))])
+    assert code == 1
+    assert "x/y.example" in capsys.readouterr().err
+    assert list(store.iterdir()) == []
 
 
 def test_payclass_cli(tmp_path):

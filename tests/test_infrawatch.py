@@ -1,8 +1,13 @@
 """Monitoring, lifespan, binding, geolocation and registrant tests."""
 
+import re
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apktriage.infrawatch import (
     END_DEAD_BEFORE_FIRST,
@@ -32,10 +37,15 @@ from apktriage.infrawatch import (
     schedule,
     ticks,
 )
+from apktriage.infrawatch.timeline import _parse_ts, _ts
 
 
 def utc(*args):
     return datetime(*args, tzinfo=timezone.utc)
+
+
+CST = timezone(timedelta(hours=8))
+STORE_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 
 def simple_timeline(domain, specs):
@@ -72,11 +82,140 @@ class TestTimeline:
         t.add_probe(p)
         store.append_probe("x.com", p)
         store.set_whois("x.com", WhoisRecord("reg", "China", "2020-01-01"))
+        store.close()
         loaded = store.load("x.com")
         assert loaded.resolutions == t.resolutions
         assert loaded.probes == t.probes
         assert loaded.whois.registrant == "reg"
         assert store.domains() == ["x.com"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 6),
+                              st.sampled_from([None, (), ("1.1.1.1",)]), st.booleans()),
+                    max_size=20))
+    def test_add_probe_matches_scan_rule(self, ops):
+        # oracle: the rule as a scan of every earlier resolution
+        t, resolutions, probes = DomainTimeline(domain="x.com"), [], []
+        for is_resolution, day, ips, alive in ops:
+            ts = utc(2021, 1, 1) + timedelta(days=day)
+            if is_resolution:
+                item = Resolution(ts, None if ips is None else frozenset(ips))
+                ok = not resolutions or ts > resolutions[-1].ts
+                add, model = t.add_resolution, resolutions
+            else:
+                item = Probe(ts, alive, "x")
+                ok = (not probes or ts > probes[-1].ts) and (not alive or bool(
+                    [r for r in resolutions if r.ts <= ts and not r.nxdomain]))
+                add, model = t.add_probe, probes
+            if ok:
+                add(item)
+                model.append(item)
+            else:
+                with pytest.raises(ValueError):
+                    add(item)
+        assert t.resolutions == resolutions and t.probes == probes
+
+
+class TestStoreTimestamps:
+    @settings(max_examples=300, deadline=None)
+    @given(st.datetimes(min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+                        timezones=st.sampled_from(
+                            [timezone.utc, CST, timezone(timedelta(hours=-5, minutes=-30))])))
+    def test_round_trip_matches_strptime(self, dt):
+        s = _ts(dt)
+        want = datetime.strptime(s, STORE_FMT).replace(tzinfo=timezone.utc)
+        got = _parse_ts(s)
+        assert got == want == dt.replace(microsecond=0)
+        assert got.tzinfo is timezone.utc and _ts(got) == s
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31)),
+           st.integers(0, 19), st.sampled_from(list("09-:TZ+ .\n\u0663\uff12")),
+           st.sampled_from(["replace", "insert", "delete"]))
+    def test_accepts_exactly_canonical_strings(self, dt, i, ch, edit):
+        s = _ts(dt.replace(tzinfo=timezone.utc))
+        s = {"replace": s[:i] + ch + s[i + 1:], "insert": s[:i] + ch + s[i:],
+             "delete": s[:i] + s[i + 1:]}[edit]
+        try:  # strptime is looser (\d, one-digit fields); only _ts's form counts
+            want = datetime.strptime(s, STORE_FMT).replace(tzinfo=timezone.utc)
+            canonical = _ts(want) == s
+        except ValueError:
+            canonical = False
+        if canonical:
+            assert _parse_ts(s) == want
+        else:
+            with pytest.raises(ValueError):
+                _parse_ts(s)
+
+    @pytest.mark.parametrize("s", [
+        "", "2021-01-01T00:00:00", "2021-01-01 00:00:00Z", "2021-1-01T00:00:00Z",
+        "2021-01-01T00:00:00+00:00", "2021-01-01T00:00:00.5Z", "2021-01-01T00:00:00Z\n",
+        " 2021-01-01T00:00:00Z", "2021-02-30T00:00:00Z", "2021-01-01T24:00:00Z",
+        "\uff12021-01-01T00:00:00Z", "2021-01-01t00:00:00z"])
+    def test_malformed_raises(self, s):
+        with pytest.raises(ValueError):
+            _parse_ts(s)
+
+
+GAP_LINE = '{"kind":"gap","payload":"%s","ts":"2021-01-0%dT00:00:00Z"}\n'
+
+
+class TestStoreFiles:
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b.com", "../x.com", "a\0b.com"])
+    def test_unmappable_names_rejected(self, tmp_path, name):
+        store = TimelineStore(tmp_path)
+        with pytest.raises(ValueError):
+            store.load(name)
+        with pytest.raises(ValueError):
+            store.append_gap(name, utc(2021, 1, 1), "r")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_names_round_trip(self, tmp_path):
+        store = TimelineStore(tmp_path)
+        names = ["a_b.com", "a.com.jsonl", ".hidden", "x y", "\u4f8b\u3048.jp"]
+        for name in names:
+            store.append_gap(name, utc(2021, 1, 1), name)
+        store.close()
+        assert store.domains() == sorted(names)
+        assert [store.load(n).gaps[0][1] for n in names] == names
+
+    def test_one_open_file_per_domain(self, tmp_path):
+        store = TimelineStore(tmp_path)
+        store.append_gap("a.com", utc(2021, 1, 1), "r")
+        first = store._file
+        store.append_gap("a.com", utc(2021, 1, 2), "s")
+        assert store._file is first
+        # each record is flushed: a reader sees it while the file is open
+        assert len(store.load("a.com").gaps) == 2
+        store.append_gap("b.com", utc(2021, 1, 1), "r")
+        assert first.closed
+        store.close()
+        assert store._file is None
+
+    @pytest.mark.parametrize("tail", [
+        '{"kind":"probe","payl',
+        GAP_LINE[:-1] % ("torn", 3),
+        "x" * 10000,
+    ], ids=["partial", "unterminated-record", "long"])
+    @pytest.mark.parametrize("head", [GAP_LINE % ("r", 1), ""], ids=["after-record", "alone"])
+    def test_torn_tail_dropped_then_cut(self, tmp_path, head, tail):
+        store = TimelineStore(tmp_path)
+        path = tmp_path / "x.com.jsonl"
+        path.write_text(head + tail)
+        assert store.load("x.com").gaps == ([(utc(2021, 1, 1), "r")] if head else [])
+        store.append_gap("x.com", utc(2021, 1, 2), "s")
+        store.close()
+        assert path.read_text() == head + GAP_LINE % ("s", 2)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind":"probe","payl\n' + GAP_LINE % ("r", 1),
+        GAP_LINE % ("r", 1) + '{"kind":"probe","payl\n',
+        GAP_LINE.replace("Z", "") % ("r", 1),
+    ])
+    def test_terminated_bad_line_raises(self, tmp_path, text):
+        (tmp_path / "x.com.jsonl").write_text(text)
+        with pytest.raises(ValueError):
+            TimelineStore(tmp_path).load("x.com")
 
 
 class TestSchedule:
@@ -134,6 +273,73 @@ class TestSchedule:
         t = schedule(*args, ScriptedResolver({"a.com": [["1.1.1.1"]]}),
                      ScriptedProber({"a.com": [200]}), whois, store)["a.com"]
         assert t.whois.registrant == "r1"
+
+    def test_names_checked_before_any_tick(self, tmp_path):
+        store = TimelineStore(tmp_path)
+        with pytest.raises(ValueError, match="x/y.com"):
+            schedule(["a.com", "x/y.com"], Window(utc(2021, 1, 1), utc(2021, 1, 3)),
+                     timedelta(days=1), ScriptedResolver({}), ScriptedProber({}),
+                     store=store)
+        assert list(tmp_path.iterdir()) == []
+
+
+ANSWERS = st.one_of(st.just("gap"), st.none(), st.just([]),
+                    st.lists(st.sampled_from(["1.1.1.1", "2.2.2.2", "3.3.3.3"]),
+                             min_size=1, max_size=2, unique=True))
+STATUSES = st.one_of(st.just("gap"), st.none(), st.sampled_from([200, 302, 404, 503]))
+WATCH_DOMAINS = ["a.com", "b.net", "c.org"]
+
+
+@st.composite
+def watch_cases(draw):
+    n = draw(st.integers(2, 8))
+    domains = draw(st.lists(st.sampled_from(WATCH_DOMAINS), min_size=1, max_size=3,
+                            unique=True))
+    resolutions = {d: draw(st.lists(ANSWERS, min_size=1, max_size=n)) for d in domains}
+    probes = {d: draw(st.lists(STATUSES, min_size=1, max_size=n)) for d in domains}
+    whois = {d: WhoisRecord("r-" + d, "CN", "") for d in domains if draw(st.booleans())}
+    tz = draw(st.sampled_from([timezone.utc, CST]))
+    start = utc(2021, 1, 1).astimezone(tz).replace(microsecond=draw(
+        st.sampled_from([0, 1, 500_000, 999_999])))
+    split = draw(st.integers(0, n - 2))
+    return domains, resolutions, probes, whois, start, n, split
+
+
+def _store_lines(root: Path) -> dict[str, list[str]]:
+    mask = re.compile(r'("kind":"whois",.*"ts":)"[^"]*"')
+    return {p.name: [mask.sub(r'\1"-"', line) for line in p.read_text().splitlines()]
+            for p in sorted(root.iterdir())}
+
+
+class TestScheduleDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(watch_cases())
+    def test_resume_equals_uninterrupted_and_store(self, case):
+        domains, resolutions, probes, whois, start, n, split = case
+        cadence, end = timedelta(days=1), start + timedelta(days=n - 1)
+
+        def backends():
+            return (ScriptedResolver(resolutions), ScriptedProber(probes),
+                    ScriptedWhois(whois))
+
+        with tempfile.TemporaryDirectory() as one_dir, \
+                tempfile.TemporaryDirectory() as split_dir:
+            one = TimelineStore(one_dir)
+            whole = schedule(domains, Window(start, end), cadence, *backends(), one)
+            parts = TimelineStore(split_dir)
+            resolver, prober, whois_client = backends()
+            fresh = schedule(domains, Window(start, start + timedelta(days=split, seconds=1)),
+                             cadence, resolver, prober, whois_client, parts)
+            assert all(fresh[d] == parts.load(d) for d in domains)
+            resumed = schedule(domains, Window(start, end), cadence,
+                               resolver, prober, whois_client, parts)
+            for d in domains:
+                assert whole[d] == one.load(d)
+                assert resumed[d] == parts.load(d)
+            assert resumed == whole
+            assert all(r.ts.tzinfo is timezone.utc and r.ts.microsecond == 0
+                       for t in whole.values() for r in t.resolutions)
+            assert _store_lines(Path(split_dir)) == _store_lines(Path(one_dir))
 
 
 class TestLifespan:
