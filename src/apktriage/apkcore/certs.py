@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from hashlib import sha256
-from importlib import resources
 
 from cryptography import x509
 from cryptography.hazmat.primitives.serialization import pkcs7, Encoding
 from cryptography.x509.oid import NameOID
 
 from apktriage.apkcore.errors import CertUndecodable
+from apktriage.util import read_data_text
 
 DN_FIELDS = ("commonName", "organizationalUnit", "organization",
              "locality", "state", "country", "email")
@@ -51,11 +51,7 @@ class SignerIdentity:
 
 
 def load_known_signatures(path=None) -> list[dict]:
-    if path is None:
-        text = resources.files("apktriage.data").joinpath("known_signatures.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    text = read_data_text(path, "known_signatures.json")
     return json.loads(text)
 
 

@@ -8,9 +8,9 @@ comments) to override it when analysing older or newer targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from apktriage.apkcore.manifest import ManifestInfo
+from apktriage.util import read_data_text
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,7 @@ class PermissionProfile:
 
 
 def load_dangerous_db(path=None) -> frozenset[str]:
-    if path is None:
-        text = resources.files("apktriage.data").joinpath("dangerous_permissions.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    text = read_data_text(path, "dangerous_permissions.txt")
     perms = set()
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

@@ -20,7 +20,7 @@ from apktriage.assoc.rules import (
     overlap,
     shared_ip,
 )
-from apktriage.assoc.stats import TOP_CATEGORIES, GroupRow, group_stats
+from apktriage.assoc.stats import GroupRow, group_stats, group_table
 
 __all__ = [
     "SampleFeatures", "features_from_json", "features_to_json",
@@ -28,5 +28,5 @@ __all__ = [
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
     "seed_neighborhood", "AssocConfig", "assoc_signature", "assoc_snapshot",
     "fired_rules", "overlap", "shared_ip",
-    "TOP_CATEGORIES", "GroupRow", "group_stats",
+    "GroupRow", "group_stats", "group_table",
 ]

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from apktriage.assoc.graph import AssociationGraph
+from apktriage.reportcli.taxonomy import TOP_CATEGORIES
 from apktriage.util import pct
-
-TOP_CATEGORIES = ("Sex", "Gambling", "Financial", "Service", "AuxiliaryTool")
 
 
 @dataclass(frozen=True)
@@ -51,3 +50,16 @@ def group_stats(g: AssociationGraph, labels: dict, corpus_size: int) -> list[Gro
             members=comp,
         ))
     return rows
+
+
+def group_table(rows):
+    """(header, rows, mirror) of group rows: Rank, Apps (with corpus
+    percentage), then one column per top category."""
+    header = ["Rank", "Apps"] + list(TOP_CATEGORIES)
+    table = [[r.rank, f"{r.size} ({r.corpus_pct}%)"]
+             + [f"{r.category_pcts.get(c, 0.0)}%" for c in TOP_CATEGORIES]
+             for r in sorted(rows, key=lambda r: r.rank)]
+    mirror = [{"rank": r.rank, "size": r.size, "corpus_pct": r.corpus_pct,
+               "category_pcts": dict(r.category_pcts),
+               "members": list(r.members)} for r in rows]
+    return header, table, mirror

@@ -7,7 +7,7 @@ list for exotic TLD coverage.
 
 from __future__ import annotations
 
-from importlib import resources
+from apktriage.util import read_data_text
 
 
 class SuffixList:
@@ -42,11 +42,7 @@ class SuffixList:
 
 
 def load_suffix_list(path=None) -> SuffixList:
-    if path is None:
-        text = resources.files("apktriage.data").joinpath("public_suffix.dat").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    text = read_data_text(path, "public_suffix.dat")
     rules, wildcards, exceptions = set(), set(), set()
     for line in text.splitlines():
         line = line.strip()

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class ImageUndecodable(Exception):
     pass
@@ -26,31 +24,39 @@ class VisualFingerprint:
             raise ValueError("hash must fit in 64 bits")
 
 
-def _area_mean_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img.shape
-    rows = np.linspace(0, h, out_h + 1).round().astype(int)
-    cols = np.linspace(0, w, out_w + 1).round().astype(int)
-    out = np.empty((out_h, out_w), dtype=np.float64)
-    for r in range(out_h):
-        for c in range(out_w):
-            block = img[rows[r]:max(rows[r + 1], rows[r] + 1),
-                        cols[c]:max(cols[c + 1], cols[c] + 1)]
-            out[r, c] = block.mean()
-    return out
+def _bounds(n: int, k: int) -> list[int]:
+    """Edges of k blocks over n pixels: round-half-even of i * (n / k),
+    the last edge exactly n (numpy's ``linspace(0, n, k + 1).round()``).
+    With n >= k every block is at least one pixel wide."""
+    step = n / k
+    return [round(i * step) for i in range(k)] + [n]
 
 
 def snapshot_fingerprint(pixels, source: str = "") -> VisualFingerprint:
-    """dHash of a grayscale pixel grid (2-D array, min dimension >= 9)."""
-    img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2:
-        raise ImageUndecodable("expected a 2-D grayscale grid")
-    if min(img.shape) < 9:
+    """dHash of a grayscale pixel grid: equal-length rows of numbers
+    (lists, bytes, array rows), at least 9 by 9. For integer pixels every
+    block sum is exact, so the bits equal those of a numpy area mean."""
+    try:
+        pixels = list(pixels)
+        widths = {len(row) for row in pixels}
+    except TypeError:
+        raise ImageUndecodable("expected a 2-D grayscale grid") from None
+    if len(widths) > 1:
+        raise ImageUndecodable("rows differ in length")
+    if len(pixels) < 9 or min(widths) < 9:
         raise ImageUndecodable("image smaller than 9 pixels in one dimension")
-    small = _area_mean_resize(img, 8, 9)
-    diff = small[:, 1:] > small[:, :-1]  # 8x8 horizontal gradient signs
+    rows, cols = _bounds(len(pixels), 8), _bounds(widths.pop(), 9)
+    spans = list(zip(cols, cols[1:]))
     bits = 0
-    for v in diff.flatten():
-        bits = (bits << 1) | int(v)
+    for r0, r1 in zip(rows, rows[1:]):
+        band = pixels[r0:r1]
+        try:  # the 9 block means of this band; a cell that is no number raises
+            means = [float(sum(sum(row[c0:c1]) for row in band)) / ((r1 - r0) * (c1 - c0))
+                     for c0, c1 in spans]
+        except TypeError:
+            raise ImageUndecodable("expected a 2-D grayscale grid") from None
+        for left, right in zip(means, means[1:]):  # 8 horizontal gradient signs
+            bits = (bits << 1) | (right > left)
     return VisualFingerprint(hash_bits=bits, source=source)
 
 
@@ -59,14 +65,17 @@ def similarity(a: VisualFingerprint, b: VisualFingerprint) -> float:
     return 1.0 - (a.hash_bits ^ b.hash_bits).bit_count() / 64.0
 
 
-def load_grayscale(path) -> np.ndarray:
-    """Decode a PNG/JPEG snapshot file to a grayscale grid."""
+def load_grayscale(path) -> list[bytes]:
+    """Decode a PNG/JPEG snapshot file to grayscale rows, one byte a pixel."""
     try:
         from PIL import Image
     except ImportError as e:
         raise ImageUndecodable(f"Pillow not installed: {e}") from None
     try:
         with Image.open(path) as im:
-            return np.asarray(im.convert("L"), dtype=np.float64)
+            gray = im.convert("L")
+            width, height = gray.size
+            data = gray.tobytes()
     except Exception as e:
         raise ImageUndecodable(str(e)) from None
+    return [data[i * width:(i + 1) * width] for i in range(height)]

@@ -5,12 +5,12 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass
-from importlib import resources
 from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList, load_suffix_list
+from apktriage.util import read_data_text
 
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
 # Each IP pattern opens with a character class, so that ``re`` can skip ahead
@@ -158,8 +158,7 @@ def load_whitelist(path=None, limit: int = 10_000,
                     continue
                 domains.add(line.split(",")[-1].lower())
     if include_third_party:
-        text = resources.files("apktriage.data").joinpath("third_party_domains.txt").read_text()
-        for line in text.splitlines():
+        for line in read_data_text(None, "third_party_domains.txt").splitlines():
             line = line.split("#", 1)[0].strip()
             if line:
                 domains.add(line.lower())

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 from apktriage.apkcore.artifact import ApkArtifact
+from apktriage.util import read_data_text
 
 RULE_MAIN_ACTIVITY = "main_activity"
 RULE_PACKAGE_PREFIX = "package_prefix"
@@ -87,11 +87,7 @@ def _parse_fingerprint(obj: dict) -> GeneratorFingerprint:
 
 
 def load_fingerprints(path=None) -> list[GeneratorFingerprint]:
-    if path is None:
-        text = resources.files("apktriage.data").joinpath("generators.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    text = read_data_text(path, "generators.json")
     raw = json.loads(text)
     fps = [_parse_fingerprint(obj) for obj in raw]
     ids = [fp.generator_id for fp in fps]

@@ -23,6 +23,7 @@ from apktriage.infrawatch.lifespan import (
     END_STILL_ALIVE,
     LifespanRecord,
     lifespan,
+    lifespan_table,
 )
 from apktriage.infrawatch.registrants import registrant_stats
 from apktriage.infrawatch.schedule import Window, monitor_tick, schedule, ticks
@@ -42,7 +43,7 @@ __all__ = [
     "BindingClassification", "BindingSegment", "binding_segments",
     "classify_bindings", "GeoDb", "cctld_country", "distribution", "geolocate",
     "END_DEAD_BEFORE_FIRST", "END_OBSERVED_DEATH", "END_STILL_ALIVE",
-    "LifespanRecord", "lifespan", "registrant_stats",
+    "LifespanRecord", "lifespan", "lifespan_table", "registrant_stats",
     "Window", "monitor_tick", "schedule", "ticks",
     "DomainTimeline", "EmptyTimeline", "Probe", "Resolution",
     "TimelineStore", "WhoisRecord",

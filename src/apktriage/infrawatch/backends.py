@@ -31,15 +31,16 @@ class WhoisClient(Protocol):
     def lookup(self, domain: str) -> WhoisRecord | None: ...
 
 
-class ScriptedResolver:
-    """Per-domain list of IP sets consumed one per tick; the final value
-    repeats. None entries mean NXDOMAIN; the string "gap" raises."""
+class _Scripted:
+    """Per-domain list of values consumed one per call; the final value
+    repeats, an unscripted domain gives None, and the string "gap" raises
+    BackendUnavailable naming the ``backend``."""
 
     def __init__(self, script: dict[str, list]):
         self.script = {d: list(v) for d, v in script.items()}
         self._tick: dict[str, int] = {}
 
-    def resolve(self, domain, ts):
+    def _next(self, domain):
         seq = self.script.get(domain)
         if not seq:
             return None
@@ -47,25 +48,27 @@ class ScriptedResolver:
         self._tick[domain] = i + 1
         value = seq[min(i, len(seq) - 1)]
         if value == "gap":
-            raise BackendUnavailable(f"resolver outage for {domain}")
+            raise BackendUnavailable(f"{self.backend} outage for {domain}")
+        return value
+
+
+class ScriptedResolver(_Scripted):
+    """Scripted IP sets, one per tick; None entries mean NXDOMAIN."""
+
+    backend = "resolver"
+
+    def resolve(self, domain, ts):
+        value = self._next(domain)
         return None if value is None else frozenset(value)
 
 
-class ScriptedProber:
-    def __init__(self, script: dict[str, list]):
-        self.script = {d: list(v) for d, v in script.items()}
-        self._tick: dict[str, int] = {}
+class ScriptedProber(_Scripted):
+    """Scripted HTTP statuses, one per probe; None means no answer."""
+
+    backend = "prober"
 
     def probe(self, domain, ts):
-        seq = self.script.get(domain)
-        if not seq:
-            return None
-        i = self._tick.get(domain, 0)
-        self._tick[domain] = i + 1
-        value = seq[min(i, len(seq) - 1)]
-        if value == "gap":
-            raise BackendUnavailable(f"prober outage for {domain}")
-        return value
+        return self._next(domain)
 
 
 class ScriptedWhois:

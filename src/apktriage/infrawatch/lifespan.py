@@ -40,3 +40,15 @@ def lifespan(t: DomainTimeline, manifest_mtime: datetime) -> LifespanRecord:
     if end < manifest_mtime:
         end = manifest_mtime
     return LifespanRecord(domain=t.domain, start=manifest_mtime, end=end, end_kind=kind)
+
+
+def lifespan_table(records):
+    """(header, rows, mirror) of lifespan records, sorted by domain."""
+    ordered = sorted(records, key=lambda r: r.domain)
+    header = ["Domain", "Start", "End", "EndKind", "Days"]
+    rows = [[r.domain, r.start.isoformat(), r.end.isoformat(), r.end_kind, r.days]
+            for r in ordered]
+    mirror = [{"domain": r.domain, "start": r.start.isoformat(),
+               "end": r.end.isoformat(), "end_kind": r.end_kind,
+               "days": r.days} for r in ordered]
+    return header, rows, mirror

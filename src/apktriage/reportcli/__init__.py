@@ -2,11 +2,12 @@ from apktriage.reportcli.aggregate import (
     CorpusReport,
     category_distribution,
     corpus_report,
+    corpus_table,
     generator_stats,
     paradigm_stats,
     permission_aggregate,
 )
-from apktriage.reportcli.emit import IoFailure, emit_report, group_table
+from apktriage.reportcli.emit import IoFailure, emit_report
 from apktriage.reportcli.taxonomy import (
     BEHAVIOR_FLAGS,
     SUB_BY_NAME,
@@ -19,9 +20,9 @@ from apktriage.reportcli.taxonomy import (
 )
 
 __all__ = [
-    "CorpusReport", "category_distribution", "corpus_report",
+    "CorpusReport", "category_distribution", "corpus_report", "corpus_table",
     "generator_stats", "paradigm_stats", "permission_aggregate",
-    "IoFailure", "emit_report", "group_table",
+    "IoFailure", "emit_report",
     "BEHAVIOR_FLAGS", "SUB_BY_NAME", "SUB_CATEGORIES", "TACTICS",
     "TOP_CATEGORIES", "TaxonomyLabel", "read_labels_jsonl", "validate_label",
 ]

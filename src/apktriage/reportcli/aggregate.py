@@ -107,6 +107,27 @@ def generator_stats(matches, total: int, places: int = 4) -> dict:
     }
 
 
+def corpus_table(report: CorpusReport):
+    """(header, rows, mirror) of a corpus report: the category
+    distribution as CSV rows, every field in the JSON mirror."""
+    header = ["Category", "Count", "Percent"]
+    rows = [[top, count, p]
+            for top, (count, p) in report.category_distribution.items()]
+    mirror = {
+        "n": report.n,
+        "category_distribution": {
+            top: {"count": c, "percent": p}
+            for top, (c, p) in report.category_distribution.items()},
+        "paradigm": report.paradigm,
+        "generator_usage": report.generator_usage,
+        "permission_averages": {
+            top: {"dangerous": d, "normal": n, "all": a}
+            for top, (d, n, a) in report.permission_averages.items()},
+        "notices": list(report.notices),
+    }
+    return header, rows, mirror
+
+
 def corpus_report(labels, paradigms=(), generator_matches=(),
                   permission_profiles=None) -> CorpusReport:
     dist = category_distribution(labels)

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,7 +47,8 @@ def _iter_apks(path: str):
 
 
 def cmd_scan(args, cfg) -> int:
-    from apktriage.apkcore import open_apk, load_dangerous_db, permission_profile
+    from apktriage.apkcore import (ApkError, load_dangerous_db, open_apk,
+                                   permission_profile)
     from apktriage.apkcore.certs import load_known_signatures
     from apktriage.extract import (classify_paradigm, extract_urls,
                                    filter_whitelist, load_suffix_list,
@@ -66,25 +67,34 @@ def cmd_scan(args, cfg) -> int:
     if args.output:
         os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    failed = 0
     try:
         for apk_path in _iter_apks(args.input):
-            with open(apk_path, "rb") as f:
-                apk = open_apk(f.read(), known_signatures)
-            match = detect_generator(apk, fingerprints)
-            decrypted = None
-            if match is not None:
-                fp = fingerprint_for(match.generator_id, fingerprints)
-                if fp.cipher.algo is not None:
-                    try:
-                        decrypted = decrypt_assets(apk, match, db=fingerprints)
-                    except KeyUnavailable:
-                        decrypted = None
-            urls = extract_urls(apk, user_content=decrypted, psl=suffixes)
-            if whitelist:
-                urls = filter_whitelist(urls, whitelist, suffixes)
-            paradigm = classify_paradigm(apk, match)
-            profile = (permission_profile(apk.manifest, dangerous)
-                       if apk.manifest else None)
+            try:
+                with open(apk_path, "rb") as f:
+                    apk = open_apk(f.read(), known_signatures)
+                match = detect_generator(apk, fingerprints)
+                decrypted = None
+                if match is not None:
+                    fp = fingerprint_for(match.generator_id, fingerprints)
+                    if fp.cipher.algo is not None:
+                        try:
+                            decrypted = decrypt_assets(apk, match, db=fingerprints)
+                        except KeyUnavailable:
+                            decrypted = None
+                urls = extract_urls(apk, user_content=decrypted, psl=suffixes)
+                if whitelist:
+                    urls = filter_whitelist(urls, whitelist, suffixes)
+                paradigm = classify_paradigm(apk, match)
+                profile = (permission_profile(apk.manifest, dangerous)
+                           if apk.manifest else None)
+            except ApkError as exc:
+                # one bad file costs its own record, never the rest of the run
+                failed += 1
+                print(f"error: {apk_path}: {exc}", file=sys.stderr)
+                out.write(json.dumps({"path": apk_path, "error_kind": type(exc).__name__,
+                                      "error": str(exc)}, sort_keys=True) + "\n")
+                continue
             rec = {
                 "sample_id": apk.sample_id,
                 "path": apk_path,
@@ -114,12 +124,12 @@ def cmd_scan(args, cfg) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return EXIT_OK
+    return EXIT_INPUT if failed else EXIT_OK
 
 
 def cmd_assoc(args, cfg) -> int:
     from apktriage.assoc import (AssocConfig, build_graph, graph_to_json,
-                                 group_stats, read_features_jsonl)
+                                 group_stats, group_table, read_features_jsonl)
     from apktriage.reportcli.emit import _write, emit_report
 
     config = AssocConfig(
@@ -135,19 +145,17 @@ def cmd_assoc(args, cfg) -> int:
     _write(args.output + ".graph.json", graph_to_json(graph))
     corpus_size = int(_setting(args, cfg, "corpus_size", 0)) or len(features)
     labels = {s.sample_id: s.label for s in features if s.label}
-    rows = group_stats(graph, labels, corpus_size)
-    emit_report(rows, args.output)
+    emit_report(args.output, *group_table(group_stats(graph, labels, corpus_size)))
     return EXIT_OK
 
 
 def cmd_watch(args, cfg) -> int:
-    from datetime import timedelta
-
     from apktriage.infrawatch import (DnsResolver, HttpProber, ScriptedProber,
                                       ScriptedResolver, ScriptedWhois,
                                       TimelineStore, WhoisRecord, Window,
-                                      classify_bindings, lifespan, schedule)
-    from apktriage.reportcli.emit import emit_report
+                                      classify_bindings, lifespan,
+                                      lifespan_table, schedule)
+    from apktriage.reportcli.emit import _json_string, _write, emit_report
 
     window = Window(
         start=_parse_ts(_setting(args, cfg, "window_start")),
@@ -183,18 +191,16 @@ def cmd_watch(args, cfg) -> int:
             mtimes = {k: _parse_ts(v) for k, v in json.load(f).items()}
     records = [lifespan(t, mtimes.get(d, window.start))
                for d, t in sorted(timelines.items()) if t.probes]
-    emit_report(records, args.output + ".lifespan")
+    emit_report(args.output + ".lifespan", *lifespan_table(records))
     _classes, summary = classify_bindings(timelines)
-    with open(args.output + ".bindings.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write(args.output + ".bindings.json", _json_string(summary))
     return EXIT_OK
 
 
 def cmd_payclass(args, cfg) -> int:
     from apktriage.payclass import (channel_breakdown, classify_session,
                                     load_licensed_db, read_observations_jsonl)
-    from apktriage.reportcli.emit import _write
+    from apktriage.reportcli.emit import _json_string, _write
 
     licensed = load_licensed_db(_setting(args, cfg, "licensed_db"))
     sessions = read_observations_jsonl(args.observations)
@@ -207,7 +213,7 @@ def cmd_payclass(args, cfg) -> int:
             {"channel": ch, "count": n, "percent": p} for ch, n, p in rows],
         "notice": notice,
     }
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    text = _json_string(result)
     if args.output:
         _write(args.output, text)
     else:
@@ -216,7 +222,7 @@ def cmd_payclass(args, cfg) -> int:
 
 
 def cmd_report(args, cfg) -> int:
-    from apktriage.reportcli.aggregate import corpus_report
+    from apktriage.reportcli.aggregate import corpus_report, corpus_table
     from apktriage.reportcli.emit import emit_report
     from apktriage.reportcli.taxonomy import read_labels_jsonl, validate_label
 
@@ -227,8 +233,7 @@ def cmd_report(args, cfg) -> int:
             print(f"invalid label {sample}: {'; '.join(violations)}",
                   file=sys.stderr)
         return EXIT_INPUT
-    report = corpus_report(labels)
-    emit_report(report, args.output)
+    emit_report(args.output, *corpus_table(corpus_report(labels)))
     return EXIT_OK
 
 

@@ -1,11 +1,15 @@
 """End-to-end command-line tests over fixture inputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta
 
 import pytest
 
+import apktriage
 from apktriage.reportcli.cli import main
 
 from apk_builder import build_apk
@@ -122,6 +126,39 @@ def test_scan_survives_invalid_port(tmp_path, path, body):
     assert not any("evil" in u or "cdn.c.com" in u for u in recs[1]["urls"])
 
 
+def _flip_manifest_crc(apk: bytes) -> bytes:
+    """The APK with one byte of the stored CRC-32 of AndroidManifest.xml
+    inverted, in its local header and its central-directory record."""
+    buf, name = bytearray(apk), b"AndroidManifest.xml"
+    for sig, crc_at, name_at in ((b"PK\x03\x04", 14, 30), (b"PK\x01\x02", 16, 46)):
+        i = buf.find(sig)
+        while i >= 0:
+            if buf[i + name_at:i + name_at + len(name)] == name:
+                buf[i + crc_at] ^= 0xFF
+            i = buf.find(sig, i + 1)
+    return bytes(buf)
+
+
+def test_scan_isolates_bad_apks(tmp_path, capsys):
+    d = tmp_path / "apks"
+    d.mkdir()
+    (d / "a.apk").write_bytes(build_apk(package="com.a"))
+    (d / "b.apk").write_bytes(b"this is not a zip archive")
+    (d / "c.apk").write_bytes(_flip_manifest_crc(build_apk(package="com.c")))
+    (d / "d.apk").write_bytes(build_apk(package="com.d"))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 1
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("package") for r in recs] == ["com.a", None, None, "com.d"]
+    bad = recs[1:3]
+    assert [sorted(r) for r in bad] == [["error", "error_kind", "path"]] * 2
+    assert [r["path"] for r in bad] == [str(d / "b.apk"), str(d / "c.apk")]
+    assert [r["error_kind"] for r in bad] == ["NotAZip", "NotAZip"]
+    assert "CRC-32 mismatch for AndroidManifest.xml" in bad[1]["error"]
+    err = capsys.readouterr().err
+    assert str(d / "b.apk") in err and str(d / "c.apk") in err
+
+
 def test_watch_scripted(tmp_path):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")
@@ -142,6 +179,23 @@ def test_watch_scripted(tmp_path):
     assert lifespans[0]["end_kind"] == "ObservedDeath"
     summary = json.loads((tmp_path / "watch.bindings.json").read_text())
     assert summary["domains"] == 1
+
+
+@pytest.mark.parametrize("listed,script", [
+    ("", {}),
+    ("a.example\n", {"resolutions": {"a.example": ["gap"]}}),
+], ids=["no-domains", "every-tick-a-gap"])
+def test_watch_lifespan_table_without_probes(tmp_path, listed, script):
+    domains = tmp_path / "domains.txt"
+    domains.write_text(listed)
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script))
+    assert main(["watch", str(domains), "--store", str(tmp_path / "store"),
+                 "--output", str(tmp_path / "w"),
+                 "--window-start", "2021-01-01", "--window-end", "2021-01-03",
+                 "--script", str(script_path)]) == 0
+    assert (tmp_path / "w.lifespan.csv").read_bytes() == b"Domain,Start,End,EndKind,Days\r\n"
+    assert json.loads((tmp_path / "w.lifespan.json").read_text()) == []
 
 
 # per tick: [resolver answer, prober answer]; the prober is asked only
@@ -294,3 +348,58 @@ def test_config_file_defaults(tmp_path):
     out = tmp_path / "a"
     assert main(["--config", str(cfg), "assoc", str(features),
                  "--output", str(out)]) == 0
+
+
+# a verb run in a fresh interpreter; prints which heavy modules it loaded
+_PROBE = """
+import json, sys
+from apktriage.reportcli.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "loaded": sorted(
+    m for m in ("numpy", "cryptography.x509") if m in sys.modules)}))
+"""
+
+
+def _fresh_run(argv):
+    src = os.path.dirname(os.path.dirname(apktriage.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_verbs_import_only_what_they_use(tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text('{"sample_id":"a","top":"Sex","sub":"Live Porn","tactics":["P2"]}\n')
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text(json.dumps(
+        {"session_id": "s1", "request_index": 1, "amount": "1.00",
+         "payment_domain": "pay.example", "recipient_id": "acct-1",
+         "channel_hint": "BankTransfer"}) + "\n")
+    domains = tmp_path / "domains.txt"
+    domains.write_text("a.example\n")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"resolutions": {"a.example": [["1.1.1.1"]]},
+                                  "probes": {"a.example": [200]}}))
+    apk = tmp_path / "a.apk"
+    apk.write_bytes(build_apk(package="com.a"))
+    features = tmp_path / "f.jsonl"
+    features.write_text(json.dumps(
+        {"sample_id": "s1", "signature": None, "urls": [], "domains": [],
+         "ip_literals": [], "resolved_ips": [], "fingerprints": [],
+         "label": None}) + "\n")
+    light = [
+        ["report", str(labels), "--output", str(tmp_path / "r")],
+        ["payclass", str(obs), "--output", str(tmp_path / "p.json")],
+        ["watch", str(domains), "--store", str(tmp_path / "store"),
+         "--output", str(tmp_path / "w"), "--window-start", "2021-01-01",
+         "--window-end", "2021-01-02", "--script", str(script)],
+    ]
+    for argv in light:
+        assert _fresh_run(argv) == {"rc": 0, "loaded": []}, argv[0]
+    # scan and assoc parse certificates, but neither needs numpy
+    for argv in (["scan", str(apk), "--output", str(tmp_path / "s.jsonl")],
+                 ["assoc", str(features), "--output", str(tmp_path / "g")]):
+        result = _fresh_run(argv)
+        assert result["rc"] == 0 and "numpy" not in result["loaded"], argv[0]

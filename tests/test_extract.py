@@ -1,6 +1,8 @@
 """URL extraction, suffix-list reduction, whitelist filtering, paradigm
 classification and snapshot-fingerprint tests."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,11 @@ from apktriage.extract import (
     snapshot_fingerprint,
     urlset_from_strings,
 )
+from apktriage.extract.snapshot import load_grayscale
 from apktriage.extract.urls import _IPV4_RE, _IPV6_RE
 from apktriage.genscan import detect_generator, load_fingerprints
 
+import dhash_oracle
 import url_oracle
 from apk_builder import build_apk
 
@@ -284,6 +288,51 @@ class TestSnapshot:
         big = img.repeat(2, axis=0).repeat(2, axis=1)
         assert similarity(snapshot_fingerprint(img),
                           snapshot_fingerprint(big)) >= 0.95
+
+    @pytest.mark.parametrize("pixels", [
+        [[0] * 10] * 9 + [[0] * 11],          # ragged
+        [[0] * 10] * 9 + [b"\x00" * 9],       # ragged, one row of bytes
+        [[0] * 9] * 8,                        # 8 rows
+        [[0] * 8] * 9,                        # 8 columns
+        [],
+        list(range(100)),                     # 1-D
+        [[[0]] * 10] * 10,                    # 3-D lists
+        [["0"] * 10] * 10,                    # not numbers
+        [[1j] * 10] * 10,
+    ], ids=["ragged", "ragged-bytes", "8-rows", "8-cols", "empty", "1-d",
+            "3-d-lists", "strings", "complex"])
+    def test_rejects_non_grid(self, pixels):
+        with pytest.raises(ImageUndecodable):
+            snapshot_fingerprint(pixels)
+
+    def test_load_grayscale_without_pillow(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import fails
+        with pytest.raises(ImageUndecodable, match="Pillow not installed"):
+            load_grayscale(tmp_path / "shot.png")
+
+    def test_load_grayscale_rows(self, tmp_path):
+        Image = pytest.importorskip("PIL.Image")
+        rng = np.random.default_rng(12)
+        grid = rng.integers(0, 256, size=(20, 31)).astype(np.uint8)
+        Image.fromarray(grid).save(tmp_path / "shot.png")  # uint8 2-D: mode "L"
+        rows = load_grayscale(tmp_path / "shot.png")
+        assert [list(r) for r in rows] == grid.tolist()
+        assert snapshot_fingerprint(rows).hash_bits == dhash_oracle.dhash(grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(9, 64), w=st.integers(9, 64),
+           levels=st.sampled_from([None, (0, 255), (7, 8), (0, 1, 2)]),
+           data=st.data())
+    def test_matches_numpy_oracle(self, h, w, levels, data):
+        # 2- and 3-level grids make adjacent block means tie often
+        raw = data.draw(st.binary(min_size=h * w, max_size=h * w))
+        vals = list(raw) if levels is None else [levels[b % len(levels)] for b in raw]
+        rows = [vals[i * w:(i + 1) * w] for i in range(h)]
+        expected = dhash_oracle.dhash(rows)
+        assert snapshot_fingerprint(rows).hash_bits == expected
+        assert snapshot_fingerprint(np.array(rows, dtype=float)).hash_bits == expected
+        if levels is None:
+            assert snapshot_fingerprint([bytes(r) for r in rows]).hash_bits == expected
 
 
 def test_urlset_empty():

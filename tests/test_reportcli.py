@@ -10,6 +10,7 @@ from apktriage.reportcli import (
     TaxonomyLabel,
     category_distribution,
     corpus_report,
+    corpus_table,
     emit_report,
     permission_aggregate,
     read_labels_jsonl,
@@ -117,28 +118,29 @@ class TestPermissionAggregate:
 class TestEmit:
     def test_corpus_report_deterministic(self, tmp_path):
         report = corpus_report(["Sex"] * 3 + ["Gambling"] * 7)
-        p1 = emit_report(report, str(tmp_path / "one"))
-        p2 = emit_report(report, str(tmp_path / "two"))
+        p1 = emit_report(str(tmp_path / "one"), *corpus_table(report))
+        p2 = emit_report(str(tmp_path / "two"), *corpus_table(report))
         for a, b in zip(p1, p2):
             assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_group_table_column_order(self, tmp_path):
         samples = [make_sample(f"m{i}", fingerprint="shared") for i in range(4)]
         g = build_graph(samples, AssocConfig())
-        from apktriage.assoc import group_stats
+        from apktriage.assoc import group_stats, group_table
         rows = group_stats(g, {"m0": "Sex"}, corpus_size=10)
-        csv_path, _ = emit_report(rows, str(tmp_path / "groups"))
+        csv_path, _ = emit_report(str(tmp_path / "groups"), *group_table(rows))
         header = open(csv_path, encoding="utf-8").readline().strip()
         assert header == "Rank,Apps,Sex,Gambling,Financial,Service,AuxiliaryTool"
 
     def test_empty_header_only(self, tmp_path):
-        csv_path, json_path = emit_report([], str(tmp_path / "empty"))
+        from apktriage.assoc import group_table
+        csv_path, json_path = emit_report(str(tmp_path / "empty"), *group_table([]))
         lines = open(csv_path, encoding="utf-8").read().splitlines()
         assert len(lines) == 1
 
     def test_rfc4180_quoting(self, tmp_path):
         report = corpus_report(["Sex"])
-        csv_path, _ = emit_report(report, str(tmp_path / "q"))
+        csv_path, _ = emit_report(str(tmp_path / "q"), *corpus_table(report))
         data = open(csv_path, "rb").read()
         assert b"\r\n" in data
 
