@@ -21,11 +21,11 @@ samples within ``i_max`` hops of one seed.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 
 from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
@@ -149,10 +149,32 @@ def seed_neighborhood(g: AssociationGraph, seed: str, i_max: int) -> tuple[str, 
     return tuple(sorted(depths))
 
 
+def _array(parts, indent: int) -> str:
+    """A JSON array of already-encoded items, laid out as ``indent=2``
+    lays it out at ``indent`` columns; ``[]`` when empty."""
+    if not parts:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(parts) + "\n" + " " * indent + "]"
+
+
 def graph_to_json(g: AssociationGraph) -> str:
-    obj = {
-        "nodes": list(g.nodes),
-        "edges": [{"a": a, "b": b, "rules": list(rules)} for a, b, rules in g.edges],
-        "groups": [list(c) for c in g.groups],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The graph as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    would write ``{"edges": [{"a", "b", "rules"}], "groups", "nodes"}``.
+
+    The shape is fixed and every leaf is a string, so the layout is written
+    directly: ``json.dumps`` runs its pure-Python encoder whenever
+    ``indent`` is set. Strings go through the stdlib's C escaper, and each
+    distinct rule tuple is formatted once."""
+    rules_json: dict[tuple[str, ...], str] = {}
+    edges = []
+    for a, b, rules in g.edges:
+        r = rules_json.get(rules)
+        if r is None:
+            r = rules_json[rules] = _array(list(map(_quote, rules)), 6)
+        edges.append(f'{{\n      "a": {_quote(a)},\n      "b": {_quote(b)},'
+                     f'\n      "rules": {r}\n    }}')
+    groups = [_array(list(map(_quote, c)), 4) for c in g.groups]
+    nodes = list(map(_quote, g.nodes))
+    return (f'{{\n  "edges": {_array(edges, 2)},\n  "groups": {_array(groups, 2)},'
+            f'\n  "nodes": {_array(nodes, 2)}\n}}\n')

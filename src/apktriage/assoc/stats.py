@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from apktriage.assoc.graph import AssociationGraph
-from apktriage.reportcli.taxonomy import TOP_CATEGORIES
+from apktriage.reportcli.taxonomy import TOP_CATEGORIES, top_of
 from apktriage.util import pct
 
 
@@ -19,16 +19,6 @@ class GroupRow:
     members: tuple[str, ...]
 
 
-def _top_of(label) -> str | None:
-    if label is None:
-        return None
-    if isinstance(label, str):
-        return label
-    if isinstance(label, dict):
-        return label.get("top")
-    return getattr(label, "top", None)
-
-
 def group_stats(g: AssociationGraph, labels: dict, corpus_size: int) -> list[GroupRow]:
     """Groups sorted by size descending, Table-style composition columns."""
     if corpus_size < len(g.nodes):
@@ -38,7 +28,7 @@ def group_stats(g: AssociationGraph, labels: dict, corpus_size: int) -> list[Gro
     for rank, comp in enumerate(ordered, start=1):
         counts = {c: 0 for c in TOP_CATEGORIES}
         for sid in comp:
-            top = _top_of(labels.get(sid))
+            top = top_of(labels.get(sid))
             if top in counts:
                 counts[top] += 1
         rows.append(GroupRow(

@@ -81,24 +81,27 @@ def schedule(domains, window: Window, cadence: timedelta,
     """Monitor every domain across the window. Resumes from persisted
     timelines when a store is supplied: already-covered ticks are skipped.
     Ticks run as UTC whole seconds, the form the store keeps, so the
-    returned timelines equal what the store loads back. Every domain is
-    loaded, and its name checked, before the first tick runs."""
+    returned timelines equal what the store loads back. A whois record is
+    stamped with the domain's first pending tick (the window's last tick
+    when none is pending), so a resumed store matches an uninterrupted one
+    byte for byte. Every domain is loaded, and its name checked, before the
+    first tick runs."""
     tick_list = [t.astimezone(timezone.utc).replace(microsecond=0)
                  for t in ticks(window, cadence)]
     timelines = {d: store.load(d) if store else DomainTimeline(domain=d)
                  for d in sorted(set(domains))}
     try:
         for domain, t in timelines.items():
+            last = t.last_tick()
+            pending = [tick for tick in tick_list if last is None or tick > last]
             if whois is not None and t.whois is None:
                 rec = whois.lookup(domain)
                 if rec is not None:
                     t.whois = rec
                     if store:
-                        store.set_whois(domain, rec)
-            last = t.last_tick()
-            for tick in tick_list:
-                if last is not None and tick <= last:
-                    continue
+                        stamp = pending[0] if pending else tick_list[-1]
+                        store.set_whois(domain, stamp, rec)
+            for tick in pending:
                 monitor_tick(t, tick, resolver, prober, store, dead_status)
     finally:
         if store:

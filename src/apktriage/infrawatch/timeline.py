@@ -163,8 +163,8 @@ class TimelineStore:
     def append_gap(self, domain: str, ts: datetime, reason: str) -> None:
         self.append(domain, {"ts": _ts(ts), "kind": "gap", "payload": reason})
 
-    def set_whois(self, domain: str, w: WhoisRecord) -> None:
-        self.append(domain, {"ts": _ts(datetime.now(timezone.utc)), "kind": "whois",
+    def set_whois(self, domain: str, ts: datetime, w: WhoisRecord) -> None:
+        self.append(domain, {"ts": _ts(ts), "kind": "whois",
                              "payload": {"registrant": w.registrant,
                                          "country": w.country, "created": w.created}})
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from apktriage.reportcli.taxonomy import TOP_CATEGORIES
+from apktriage.reportcli.taxonomy import TOP_CATEGORIES, top_of
 from apktriage.util import pct, round_half_up
 
 
@@ -23,27 +23,26 @@ class CorpusReport:
 def category_distribution(labels, places: int = 2) -> dict:
     """Per-top counts as percentages of the corpus, 2 decimals.
 
+    A label without a known top counts in the corpus size only.
     Percentages use largest-remainder allocation so the rounded values
-    always sum to exactly 100; on ties the plain half-up value survives.
+    sum to the half-up rounded share of labels with a known top, exactly
+    100 when every label has one; on ties the plain half-up value survives.
     """
     if not labels:
         raise ValueError("no labels supplied")
-    counts = Counter(_top_of(label) for label in labels)
+    counts = Counter(top_of(label) for label in labels)
     n = len(labels)
     tops = [top for top in TOP_CATEGORIES if counts[top]]
     unit = 10 ** places
     exact = {top: counts[top] * 100 * unit / n for top in tops}
     floored = {top: int(exact[top]) for top in tops}
-    shortfall = 100 * unit - sum(floored.values())
+    known = sum(counts[top] for top in tops)
+    # the known tops' total share rounded half up; 100 * unit when all are known
+    target = (2 * known * 100 * unit + n) // (2 * n)
+    shortfall = target - sum(floored.values())
     for top in sorted(tops, key=lambda t: (floored[t] - exact[t], t))[:shortfall]:
         floored[top] += 1
     return {top: (counts[top], floored[top] / unit) for top in tops}
-
-
-def _top_of(label) -> str:
-    if isinstance(label, str):
-        return label
-    return getattr(label, "top", None) or label["top"]
 
 
 def permission_aggregate(profiles, places: int = 2):
@@ -58,7 +57,7 @@ def permission_aggregate(profiles, places: int = 2):
     buckets: dict[str, list] = {top: [] for top in TOP_CATEGORIES}
     everything = []
     for profile, label in profiles.values():
-        top = _top_of(label)
+        top = top_of(label)
         if top not in buckets:
             raise ValueError(f"unknown top category {top!r}")
         buckets[top].append(profile)

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 input error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -88,8 +87,9 @@ def cmd_scan(args, cfg) -> int:
                 paradigm = classify_paradigm(apk, match)
                 profile = (permission_profile(apk.manifest, dangerous)
                            if apk.manifest else None)
-            except ApkError as exc:
-                # one bad file costs its own record, never the rest of the run
+            except (ApkError, OSError) as exc:
+                # one bad or unreadable file costs its own record, never the
+                # rest of the run
                 failed += 1
                 print(f"error: {apk_path}: {exc}", file=sys.stderr)
                 out.write(json.dumps({"path": apk_path, "error_kind": type(exc).__name__,
@@ -208,7 +208,9 @@ def cmd_payclass(args, cfg) -> int:
                        for _sid, obs in sorted(sessions.items())]
     rows, notice = channel_breakdown(classifications)
     result = {
-        "sessions": [dataclasses.asdict(c) for c in classifications],
+        "sessions": [{"session_id": c.session_id, "service_kind": c.service_kind,
+                      "channel": c.channel, "evidence": list(c.evidence)}
+                     for c in classifications],
         "fourth_party_channels": [
             {"channel": ch, "count": n, "percent": p} for ch, n, p in rows],
         "notice": notice,

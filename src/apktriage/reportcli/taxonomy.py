@@ -19,6 +19,16 @@ TOP_AUXILIARY = "AuxiliaryTool"
 
 TOP_CATEGORIES = (TOP_SEX, TOP_GAMBLING, TOP_FINANCIAL, TOP_SERVICE, TOP_AUXILIARY)
 
+
+def top_of(label) -> str | None:
+    """The top category of a label given as None, a top name, a dict or an
+    object with ``.top``; None when it has none."""
+    if label is None or isinstance(label, str):
+        return label
+    if isinstance(label, dict):
+        return label.get("top")
+    return getattr(label, "top", None)
+
 TACTICS = tuple(f"P{i}" for i in range(1, 12))
 
 BEHAVIOR_FLAGS = ("U1", "U2", "U3", "D1", "D2", "D3", "F1", "F2", "F3")

@@ -1,7 +1,9 @@
 """Association rules, blocked graph construction and group statistics."""
 
+import json
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,59 @@ class TestGraph:
     def test_graph_json_deterministic(self):
         g = build_graph(self._chain(), CFG)
         assert graph_to_json(g) == graph_to_json(build_graph(self._chain(), CFG))
+
+
+def stdlib_graph_json(g):
+    """Oracle for ``graph_to_json``: the stdlib encoder on the same object."""
+    obj = {"nodes": list(g.nodes),
+           "edges": [{"a": a, "b": b, "rules": list(rules)} for a, b, rules in g.edges],
+           "groups": [list(c) for c in g.groups]}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+RULE_SETS = [rules for k in range(1, 5)
+             for rules in combinations(("Signature", "Url", "SharedIp", "Snapshot"), k)]
+# quotes, backslashes, control and non-ASCII characters all take escapes
+SAMPLE_ID_ST = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600')
+                       | st.characters(), max_size=6)
+
+
+@st.composite
+def graph_st(draw):
+    nodes = tuple(sorted(draw(st.sets(SAMPLE_ID_ST, max_size=8))))
+    pairs = list(combinations(nodes, 2))
+    edges = tuple((a, b, draw(st.sampled_from(RULE_SETS)))
+                  for a, b in sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    groups = tuple(tuple(c) for c in draw(st.lists(
+        st.lists(st.sampled_from(nodes)) if nodes else st.just([]), max_size=4)))
+    return AssociationGraph(nodes=nodes, edges=edges, groups=groups)
+
+
+class TestGraphJson:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_st())
+    def test_matches_stdlib_encoder(self, g):
+        assert graph_to_json(g) == stdlib_graph_json(g)
+
+    def test_empty_graph(self):
+        g = AssociationGraph(nodes=(), edges=(), groups=())
+        assert graph_to_json(g) == stdlib_graph_json(g)
+        assert graph_to_json(g) == '{\n  "edges": [],\n  "groups": [],\n  "nodes": []\n}\n'
+
+    def test_i_max_zero(self):
+        samples = [make_sample(sid, fingerprint="same") for sid in ("b", 'q"\\', "\xe9")]
+        g = build_graph(samples, AssocConfig(i_max=0))
+        assert g.edges == () and all(len(c) == 1 for c in g.groups)
+        assert graph_to_json(g) == stdlib_graph_json(g)
+
+    def test_every_rule_subset(self):
+        assert len(RULE_SETS) == 15
+        nodes = tuple(f"s{i:02d}" for i in range(16))
+        g = AssociationGraph(
+            nodes=nodes,
+            edges=tuple((nodes[0], nodes[i + 1], rules) for i, rules in enumerate(RULE_SETS)),
+            groups=(nodes,))
+        assert graph_to_json(g) == stdlib_graph_json(g)
 
 
 def all_pairs_edges(samples, cfg):

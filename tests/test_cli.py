@@ -159,6 +159,22 @@ def test_scan_isolates_bad_apks(tmp_path, capsys):
     assert str(d / "b.apk") in err and str(d / "c.apk") in err
 
 
+def test_scan_isolates_unreadable_apk(tmp_path):
+    d = tmp_path / "apks"
+    d.mkdir()
+    (d / "a.apk").write_bytes(build_apk(package="com.a"))
+    (d / "b.apk").symlink_to(tmp_path / "missing.apk")
+    (d / "c.apk").write_bytes(build_apk(package="com.c"))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 1
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(recs) == 3
+    assert [r.get("package") for r in recs] == ["com.a", None, "com.c"]
+    assert sorted(recs[1]) == ["error", "error_kind", "path"]
+    assert recs[1]["path"] == str(d / "b.apk")
+    assert recs[1]["error_kind"] == "FileNotFoundError"
+
+
 def test_watch_scripted(tmp_path):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")

@@ -160,3 +160,23 @@ def test_every_sub_has_known_top():
     from apktriage.reportcli import TOP_CATEGORIES
     assert all(s.top in TOP_CATEGORIES for s in SUB_CATEGORIES)
     assert set(SUB_BY_NAME) == {s.name for s in SUB_CATEGORIES}
+
+
+@pytest.mark.parametrize("lab,top", [
+    (None, None),
+    ("Gambling", "Gambling"),
+    ({"top": "Gambling", "sub": "Lotteries"}, "Gambling"),
+    ({"sub": "Lotteries"}, None),
+    (label("Gambling", "Lotteries"), "Gambling"),
+], ids=["none", "str", "dict", "dict-without-top", "object"])
+def test_label_shapes_share_one_top_reader(lab, top):
+    from apktriage.assoc import group_stats
+    from apktriage.reportcli import TOP_CATEGORIES
+    g = build_graph([make_sample("s1"), make_sample("s2")], AssocConfig())
+    rows = group_stats(g, {"s1": lab, "s2": "Sex"}, corpus_size=2)
+    assert [r.members for r in rows] == [("s1",), ("s2",)]
+    assert rows[0].category_counts == {c: int(c == top) for c in TOP_CATEGORIES}
+    assert rows[1].category_counts == {c: int(c == "Sex") for c in TOP_CATEGORIES}
+    # a label without a top counts in the corpus size only
+    dist = corpus_report([lab, "Sex"]).category_distribution
+    assert dist == {"Sex": (1, 50.0), **({top: (1, 50.0)} if top else {})}
