@@ -38,9 +38,10 @@ class ApkArtifact:
         return zipread.read_entry(self.raw, e)
 
 
-def open_apk(file_bytes: bytes, known_signatures: list[dict] | None = None) -> ApkArtifact:
-    """Parse an APK. Raises NotAZip/NoManifest; an undecodable manifest
-    still yields an artifact, flagged invalid for downstream analysis."""
+def open_apk(file_bytes: bytes, known_signatures: list[dict]) -> ApkArtifact:
+    """Parse an APK, classifying its signers against ``known_signatures``.
+    Raises NotAZip/NoManifest; an undecodable manifest still yields an
+    artifact, flagged invalid for downstream analysis."""
     entries = zipread.list_entries(file_bytes)
     manifest_entry = next((e for e in entries if e.path == MANIFEST_PATH), None)
     if manifest_entry is None:

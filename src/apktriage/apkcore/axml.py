@@ -67,9 +67,13 @@ class AxmlElement:
 
 
 class _StringPool:
-    def __init__(self, data: bytes, chunk_off: int):
+    def __init__(self, data: bytes, chunk_off: int, chunk_size: int):
+        if chunk_size < 28:
+            raise ManifestUndecodable("string pool chunk shorter than its header")
         (count, _style_count, flags, strings_start, _styles_start) = struct.unpack_from(
             "<IIIII", data, chunk_off + 8)
+        if 28 + 4 * count > chunk_size:
+            raise ManifestUndecodable(f"string pool count {count} runs past its chunk")
         self.utf8 = bool(flags & UTF8_FLAG)
         self.offsets = struct.unpack_from(f"<{count}I", data, chunk_off + 28)
         self.base = chunk_off + strings_start
@@ -130,8 +134,10 @@ def parse_axml(data: bytes) -> AxmlElement:
         if csize < 8 or pos + csize > total:
             raise ManifestUndecodable("bad chunk structure")
         if ctype == CHUNK_STRING_POOL:
-            pool = _StringPool(data, pos)
+            pool = _StringPool(data, pos, csize)
         elif ctype == CHUNK_RESOURCE_MAP:
+            if chdr > csize:
+                raise ManifestUndecodable("resource map header exceeds its chunk")
             n = (csize - chdr) // 4
             res_map = list(struct.unpack_from(f"<{n}I", data, pos + chdr))
         elif ctype == CHUNK_START_ELEMENT:

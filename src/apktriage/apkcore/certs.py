@@ -103,14 +103,13 @@ def signer_from_block(block: bytes, known: list[dict]) -> SignerIdentity:
     )
 
 
-def extract_signers(entries: dict[str, bytes], known: list[dict] | None = None) -> list[SignerIdentity]:
-    """Extract signers from {path: bytes} of META-INF signature blocks.
+def extract_signers(entries: dict[str, bytes], known: list[dict]) -> list[SignerIdentity]:
+    """Extract signers from {path: bytes} of META-INF signature blocks,
+    classified against the ``known`` signature list.
 
     Returns an empty list when no block is present; callers treat that
     as a flag, not a failure.
     """
-    if known is None:
-        known = load_known_signatures()
     signers = []
     for path in sorted(entries):
         if path.startswith("META-INF/") and path.upper().endswith(SIGNATURE_SUFFIXES):

@@ -3,7 +3,6 @@ from apktriage.assoc.features import (
     features_from_json,
     features_to_json,
     read_features_jsonl,
-    write_features_jsonl,
 )
 from apktriage.assoc.graph import (
     AssociationGraph,
@@ -24,7 +23,7 @@ from apktriage.assoc.stats import GroupRow, group_stats, group_table
 
 __all__ = [
     "SampleFeatures", "features_from_json", "features_to_json",
-    "read_features_jsonl", "write_features_jsonl",
+    "read_features_jsonl",
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
     "seed_neighborhood", "AssocConfig", "assoc_signature", "assoc_snapshot",
     "fired_rules", "overlap", "shared_ip",

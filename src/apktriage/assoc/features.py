@@ -83,8 +83,3 @@ def read_features_jsonl(path) -> list[SampleFeatures]:
                 out.append(features_from_json(line))
     return out
 
-
-def write_features_jsonl(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(features_to_json(s) + "\n")

@@ -13,6 +13,8 @@ PARADIGM_HYBRID = "Hybrid"
 _WEB_SUFFIXES = (".html", ".htm", ".js")
 # embedded-browser engines shipped as native libraries
 _BROWSER_LIBS = ("libxwalkcore.so", "libmttwebview.so", "libwebviewchromium.so")
+# share of asset bytes in HTML/JS at which the assets count as a web app
+WEB_BYTE_RATIO = 0.3
 
 
 @dataclass(frozen=True)
@@ -21,8 +23,7 @@ class ParadigmLabel:
     evidence: tuple[str, ...]
 
 
-def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None,
-                      byte_ratio_threshold: float = 0.3) -> ParadigmLabel:
+def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None) -> ParadigmLabel:
     """Hybrid iff a generator matched, or HTML/JS bytes dominate the
     assets, or a known embedded-browser framework is bundled."""
     evidence = []
@@ -35,7 +36,7 @@ def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None,
             asset_bytes += e.size
             if e.path.lower().endswith(_WEB_SUFFIXES):
                 web_bytes += e.size
-    if asset_bytes and web_bytes / asset_bytes >= byte_ratio_threshold:
+    if asset_bytes and web_bytes / asset_bytes >= WEB_BYTE_RATIO:
         evidence.append(f"web_asset_ratio:{web_bytes / asset_bytes:.2f}")
 
     for e in apk.entries:

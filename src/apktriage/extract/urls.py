@@ -9,7 +9,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
-from apktriage.extract.psl import SuffixList, load_suffix_list
+from apktriage.extract.psl import SuffixList
 from apktriage.util import read_data_text
 
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
@@ -28,6 +28,8 @@ _TEXT_SUFFIXES = (".html", ".htm", ".js", ".json", ".xml", ".txt", ".css", ".pro
 _PRINTABLE_TO_A = bytes(0x61 if 0x20 <= b <= 0x7E else 0 for b in range(256))
 _RUN_RE = re.compile(rb"aaaaaa+")
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+# ranked whitelist lines kept, counted from the top of the file
+WHITELIST_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,7 @@ def _scan_text(text: str, urls: set[str], ips: set[str]) -> None:
         ips.add(str(ip))
 
 
-def urlset_from_strings(strings, psl: SuffixList | None = None) -> UrlSet:
-    if psl is None:
-        psl = load_suffix_list()
+def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
     urls: set[str] = set()
     ips: set[str] = set()
     for s in strings:
@@ -119,16 +119,16 @@ def _printable_runs(data: bytes) -> str:
     return b"\n".join([data[m.start():m.end()] for m in runs]).decode("ascii")
 
 
-def extract_urls(apk: ApkArtifact, user_content=None,
-                 psl: SuffixList | None = None) -> UrlSet:
+def extract_urls(apk: ApkArtifact, psl: SuffixList,
+                 decrypted: dict[str, bytes] | None = None) -> UrlSet:
     """Scan every string source in the APK for http(s) URLs and IP literals.
 
-    Sources: decoded text assets, decrypted user content, and printable
-    ASCII runs from all remaining entries. An entry that cannot be read
-    is skipped. Order-independent.
+    Sources: decoded text assets, the ``decrypted`` plaintext of protected
+    entries (path -> bytes), and printable ASCII runs from all remaining
+    entries. An entry that cannot be read is skipped. Order-independent.
     """
     strings: list[str] = []
-    decrypted = dict(user_content.decrypted) if user_content is not None else {}
+    decrypted = decrypted or {}
     for entry in apk.entries:
         data = decrypted.get(entry.path)
         if data is None:
@@ -143,34 +143,30 @@ def extract_urls(apk: ApkArtifact, user_content=None,
     return urlset_from_strings(strings, psl)
 
 
-def load_whitelist(path=None, limit: int = 10_000,
-                   include_third_party: bool = True) -> frozenset[str]:
+def load_whitelist(path=None) -> frozenset[str]:
     """Ranked-domain whitelist: plain or "rank,domain" lines, truncated
-    at ``limit``, merged with the curated third-party-service list."""
+    at ``WHITELIST_LIMIT``, merged with the curated third-party-service
+    list."""
     domains: set[str] = set()
     if path is not None:
         with open(path, encoding="utf-8") as f:
             for n, line in enumerate(f):
-                if n >= limit:
+                if n >= WHITELIST_LIMIT:
                     break
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 domains.add(line.split(",")[-1].lower())
-    if include_third_party:
-        for line in read_data_text(None, "third_party_domains.txt").splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                domains.add(line.lower())
+    for line in read_data_text(None, "third_party_domains.txt").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            domains.add(line.lower())
     return frozenset(domains)
 
 
-def filter_whitelist(u: UrlSet, whitelist: frozenset[str],
-                     psl: SuffixList | None = None) -> UrlSet:
+def filter_whitelist(u: UrlSet, whitelist: frozenset[str], psl: SuffixList) -> UrlSet:
     """Drop whitelisted registrable domains and their URLs. IP literals
     are never whitelisted. Idempotent."""
-    if psl is None:
-        psl = load_suffix_list()
     kept_urls = set()
     for url in u.urls:
         host = _host_of(url)

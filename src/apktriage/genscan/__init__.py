@@ -1,18 +1,22 @@
-from apktriage.genscan.ciphers import CipherError, DecryptFailed, KeyUnavailable
-from apktriage.genscan.content import UserContent, decrypt_assets, split_user_content
+from apktriage.genscan.ciphers import CipherError, KeyUnavailable
+from apktriage.genscan.content import (
+    DecryptedAssets,
+    UserContent,
+    decrypt_assets,
+    split_user_content,
+)
 from apktriage.genscan.fingerprints import (
     CipherScheme,
     EvidenceRule,
     GeneratorFingerprint,
     GeneratorMatch,
     detect_generator,
-    fingerprint_for,
     load_fingerprints,
 )
 
 __all__ = [
-    "CipherError", "DecryptFailed", "KeyUnavailable",
-    "UserContent", "decrypt_assets", "split_user_content",
+    "CipherError", "KeyUnavailable",
+    "DecryptedAssets", "UserContent", "decrypt_assets", "split_user_content",
     "CipherScheme", "EvidenceRule", "GeneratorFingerprint", "GeneratorMatch",
-    "detect_generator", "fingerprint_for", "load_fingerprints",
+    "detect_generator", "load_fingerprints",
 ]

@@ -1,8 +1,9 @@
 """Symmetric ciphers used by app generators to protect bundled assets.
 
 RC4, classic TEA (32 cycles, big-endian words), AES-CBC and DES-CBC.
-Block modes use PKCS#7 padding and a zero IV unless one is supplied,
-which matches how generator runtimes invoke them.
+Block modes use PKCS#7 padding. ``encrypt``/``decrypt`` run them with a
+zero IV, which matches how generator runtimes invoke them; the CBC
+functions themselves also take an IV, as the published test vectors need.
 
 AES and DES run on the `cryptography` library. RC4 and TEA are plain
 Python: `cryptography`'s ARC4 accepts only some key lengths, and it has
@@ -24,12 +25,6 @@ class CipherError(Exception):
 
 class KeyUnavailable(CipherError):
     pass
-
-
-class DecryptFailed(CipherError):
-    def __init__(self, entry: str, reason: str = "validation rejected plaintext"):
-        super().__init__(f"{entry}: {reason}")
-        self.entry = entry
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +167,31 @@ def _pkcs7_unpad(data: bytes, block: int) -> bytes:
 
 
 _ENCRYPTORS = {
-    "RC4": lambda d, k, iv: rc4(d, k),
-    "TEA": lambda d, k, iv: tea_encrypt(d, k),
-    "AES_CBC": lambda d, k, iv: aes_cbc_encrypt(d, k, iv or b"\x00" * 16),
-    "DES_CBC": lambda d, k, iv: des_cbc_encrypt(d, k, iv or b"\x00" * 8),
+    "RC4": rc4,
+    "TEA": tea_encrypt,
+    "AES_CBC": aes_cbc_encrypt,
+    "DES_CBC": des_cbc_encrypt,
 }
 
 _DECRYPTORS = {
-    "RC4": lambda d, k, iv: rc4(d, k),
-    "TEA": lambda d, k, iv: tea_decrypt(d, k),
-    "AES_CBC": lambda d, k, iv: aes_cbc_decrypt(d, k, iv or b"\x00" * 16),
-    "DES_CBC": lambda d, k, iv: des_cbc_decrypt(d, k, iv or b"\x00" * 8),
+    "RC4": rc4,
+    "TEA": tea_decrypt,
+    "AES_CBC": aes_cbc_decrypt,
+    "DES_CBC": des_cbc_decrypt,
 }
 
 
-def encrypt(algo: str, data: bytes, key: bytes, iv: bytes | None = None) -> bytes:
+def encrypt(algo: str, data: bytes, key: bytes) -> bytes:
     try:
         fn = _ENCRYPTORS[algo]
     except KeyError:
         raise CipherError(f"unknown cipher {algo!r}") from None
-    return fn(data, key, iv)
+    return fn(data, key)
 
 
-def decrypt(algo: str, data: bytes, key: bytes, iv: bytes | None = None) -> bytes:
+def decrypt(algo: str, data: bytes, key: bytes) -> bytes:
     try:
         fn = _DECRYPTORS[algo]
     except KeyError:
         raise CipherError(f"unknown cipher {algo!r}") from None
-    return fn(data, key, iv)
+    return fn(data, key)

@@ -1,4 +1,4 @@
-"""Split generator template content from user content; decrypt protected assets."""
+"""Decrypt protected assets; split generator template content from user content."""
 
 from __future__ import annotations
 
@@ -6,22 +6,22 @@ from dataclasses import dataclass, field
 
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.genscan import ciphers
-from apktriage.genscan.ciphers import CipherError, DecryptFailed, KeyUnavailable
-from apktriage.genscan.fingerprints import (
-    GeneratorFingerprint,
-    GeneratorMatch,
-    fingerprint_for,
-)
+from apktriage.genscan.ciphers import CipherError, KeyUnavailable
+from apktriage.genscan.fingerprints import GeneratorFingerprint, GeneratorMatch
 
 _PLAINTEXT_MAGICS = (b"PK\x03\x04", b"\x89PNG", b"<", b"\xff\xd8\xff", b"{", b"[")
+
+
+@dataclass
+class DecryptedAssets:
+    decrypted: dict[str, bytes] = field(default_factory=dict)
+    failed: list[str] = field(default_factory=list)
 
 
 @dataclass
 class UserContent:
     user_entries: list[str]
     template_entries: list[str]
-    decrypted: dict[str, bytes] = field(default_factory=dict)
-    failed: list[str] = field(default_factory=list)
 
 
 def looks_plaintext(data: bytes) -> bool:
@@ -37,9 +37,7 @@ def looks_plaintext(data: bytes) -> bool:
     return valid / len(view) >= 0.9
 
 
-def _resolve_key(apk: ApkArtifact, fp: GeneratorFingerprint, key: bytes | None) -> bytes:
-    if key is not None:
-        return key
+def _resolve_key(apk: ApkArtifact, fp: GeneratorFingerprint) -> bytes:
     source = fp.cipher.key_source or {}
     kind = source.get("type")
     if kind == "constant" and source.get("hex"):
@@ -56,44 +54,42 @@ def _resolve_key(apk: ApkArtifact, fp: GeneratorFingerprint, key: bytes | None) 
     raise KeyUnavailable(f"no key available for generator {fp.generator_id}")
 
 
-def decrypt_assets(apk: ApkArtifact, match: GeneratorMatch,
-                   key: bytes | None = None,
-                   db=None) -> UserContent:
-    """Decrypt every entry under the generator's protected paths.
+def decrypt_assets(apk: ApkArtifact, match: GeneratorMatch) -> DecryptedAssets:
+    """Decrypt every entry under the generator's protected paths with the
+    key its fingerprint names.
 
     Entries whose plaintext fails the validation heuristic are left
     encrypted and listed in ``failed``.
     """
-    fp = fingerprint_for(match.generator_id, db)
+    fp = match.fingerprint
     if fp.cipher.algo is None:
-        raise CipherError(f"generator {match.generator_id} declares no cipher")
-    resolved = _resolve_key(apk, fp, key)
+        raise CipherError(f"generator {fp.generator_id} declares no cipher")
+    key = _resolve_key(apk, fp)
 
-    content = split_user_content(apk, match, db)
+    assets = DecryptedAssets()
     for entry in apk.entries:
         if not any(entry.path.startswith(p) for p in fp.protected_paths):
             continue
         data = apk.read(entry.path)
         try:
-            plain = ciphers.decrypt(fp.cipher.algo, data, resolved)
+            plain = ciphers.decrypt(fp.cipher.algo, data, key)
         except CipherError:
-            content.failed.append(entry.path)
+            assets.failed.append(entry.path)
             continue
         if looks_plaintext(plain):
-            content.decrypted[entry.path] = plain
+            assets.decrypted[entry.path] = plain
         else:
-            content.failed.append(entry.path)
-    return content
+            assets.failed.append(entry.path)
+    return assets
 
 
-def split_user_content(apk: ApkArtifact, match: GeneratorMatch, db=None) -> UserContent:
+def split_user_content(apk: ApkArtifact, match: GeneratorMatch) -> UserContent:
     """Partition asset entries into user vs. template by path prefix."""
-    fp = fingerprint_for(match.generator_id, db)
     user, template = [], []
     for entry in apk.entries:
         if not entry.path.startswith("assets/"):
             continue
-        if any(entry.path.startswith(p) for p in fp.template_paths):
+        if any(entry.path.startswith(p) for p in match.fingerprint.template_paths):
             template.append(entry.path)
         else:
             user.append(entry.path)

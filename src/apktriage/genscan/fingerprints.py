@@ -59,10 +59,13 @@ class GeneratorFingerprint:
 
 @dataclass(frozen=True)
 class GeneratorMatch:
-    generator_id: str
+    fingerprint: GeneratorFingerprint
     matched_rules: tuple[EvidenceRule, ...]
     confidence: float
-    runner_up: str | None = None
+
+    @property
+    def generator_id(self) -> str:
+        return self.fingerprint.generator_id
 
 
 def _parse_fingerprint(obj: dict) -> GeneratorFingerprint:
@@ -96,34 +99,17 @@ def load_fingerprints(path=None) -> list[GeneratorFingerprint]:
     return fps
 
 
-def detect_generator(apk: ApkArtifact,
-                     db: list[GeneratorFingerprint] | None = None) -> GeneratorMatch | None:
+def detect_generator(apk: ApkArtifact, db: list[GeneratorFingerprint]) -> GeneratorMatch | None:
     """Best-confidence generator match, or None when no rule fires.
 
     Deterministic regardless of database order: confidence desc, then
-    generator_id ascending; the runner-up is kept for diagnostics.
+    generator_id ascending.
     """
-    if db is None:
-        db = load_fingerprints()
     candidates = []
     for fp in db:
         matched = tuple(r for r in fp.evidence_rules if r.fires(apk))
         if matched:
-            candidates.append((fp.generator_id, matched, len(matched) / len(fp.evidence_rules)))
+            candidates.append(GeneratorMatch(fp, matched, len(matched) / len(fp.evidence_rules)))
     if not candidates:
         return None
-    candidates.sort(key=lambda c: (-c[2], c[0]))
-    best = candidates[0]
-    runner_up = candidates[1][0] if len(candidates) > 1 else None
-    return GeneratorMatch(generator_id=best[0], matched_rules=best[1],
-                          confidence=best[2], runner_up=runner_up)
-
-
-def fingerprint_for(generator_id: str,
-                    db: list[GeneratorFingerprint] | None = None) -> GeneratorFingerprint:
-    if db is None:
-        db = load_fingerprints()
-    for fp in db:
-        if fp.generator_id == generator_id:
-            return fp
-    raise KeyError(generator_id)
+    return min(candidates, key=lambda m: (-m.confidence, m.generator_id))

@@ -2,7 +2,6 @@ from apktriage.infrawatch.backends import (
     BackendUnavailable,
     DnsResolver,
     HttpProber,
-    PortWhois,
     ScriptedProber,
     ScriptedResolver,
     ScriptedWhois,
@@ -37,7 +36,7 @@ from apktriage.infrawatch.timeline import (
 )
 
 __all__ = [
-    "BackendUnavailable", "DnsResolver", "HttpProber", "PortWhois",
+    "BackendUnavailable", "DnsResolver", "HttpProber",
     "ScriptedProber", "ScriptedResolver", "ScriptedWhois",
     "KIND_FIXED", "KIND_FLEXIBLE_I", "KIND_FLEXIBLE_II",
     "BindingClassification", "BindingSegment", "binding_segments",

@@ -1,8 +1,9 @@
-"""Resolver/prober/WHOIS/geolocation backends.
+"""Resolver, prober and WHOIS backends.
 
 Every network touchpoint sits behind a small interface with a scripted,
 fully deterministic implementation so monitoring logic is testable
-offline; the real-network implementations import lazily.
+offline. DNS and HTTP also have real-network implementations, which
+import lazily; WHOIS records come only from a script.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from datetime import datetime
 from typing import Protocol
 
 from apktriage.infrawatch.timeline import WhoisRecord
+
+PROBE_TIMEOUT_S = 10.0
+PROBE_MAX_REDIRECTS = 5
+PROBE_BODY_LIMIT = 4096
 
 
 class BackendUnavailable(Exception):
@@ -97,58 +102,21 @@ class HttpProber:
     """Plain HTTP(S) GET of "/" with a timeout and bounded redirects;
     only the status and the first 4 KiB of the body are retained."""
 
-    def __init__(self, timeout: float = 10.0, max_redirects: int = 5,
-                 body_limit: int = 4096):
-        self.timeout = timeout
-        self.max_redirects = max_redirects
-        self.body_limit = body_limit
+    def __init__(self):
         self.last_body: bytes = b""
 
     def probe(self, domain, ts):
         import requests
         session = requests.Session()
-        session.max_redirects = self.max_redirects
+        session.max_redirects = PROBE_MAX_REDIRECTS
         for scheme in ("http", "https"):
             try:
-                resp = session.get(f"{scheme}://{domain}/", timeout=self.timeout,
+                resp = session.get(f"{scheme}://{domain}/", timeout=PROBE_TIMEOUT_S,
                                    stream=True, verify=False)
-                self.last_body = resp.raw.read(self.body_limit, decode_content=True)
+                self.last_body = resp.raw.read(PROBE_BODY_LIMIT, decode_content=True)
                 return resp.status_code
             except requests.TooManyRedirects:
                 return None
             except requests.RequestException:
                 continue
         return None
-
-
-class PortWhois:
-    """Minimal RFC 3912 query against the TLD's whois server."""
-
-    def __init__(self, server: str = "whois.iana.org", timeout: float = 10.0):
-        self.server = server
-        self.timeout = timeout
-
-    def lookup(self, domain):
-        import socket
-        try:
-            with socket.create_connection((self.server, 43), timeout=self.timeout) as s:
-                s.sendall(domain.encode() + b"\r\n")
-                chunks = []
-                while True:
-                    data = s.recv(4096)
-                    if not data:
-                        break
-                    chunks.append(data)
-        except OSError as e:
-            raise BackendUnavailable(str(e)) from None
-        text = b"".join(chunks).decode("utf-8", "replace")
-        fields = {}
-        for line in text.splitlines():
-            if ":" in line:
-                k, v = line.split(":", 1)
-                fields.setdefault(k.strip().lower(), v.strip())
-        return WhoisRecord(
-            registrant=fields.get("registrar", fields.get("registrant", "")),
-            country=fields.get("registrant country", fields.get("country", "")),
-            created=fields.get("creation date", fields.get("created", "")),
-        )

@@ -91,8 +91,8 @@ def geolocate(timelines, geo_db: GeoDb | None):
     return domain_counts, ip_counts
 
 
-def distribution(counts: dict[str, int], places: int = 2) -> list[tuple[str, int, float]]:
+def distribution(counts: dict[str, int]) -> list[tuple[str, int, float]]:
     """(country, count, percentage) rows, count descending then name."""
     total = sum(counts.values())
     rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(c, n, pct(n, total, places)) for c, n in rows]
+    return [(c, n, pct(n, total)) for c, n in rows]

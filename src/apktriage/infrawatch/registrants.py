@@ -6,8 +6,7 @@ from apktriage.infrawatch.timeline import WhoisRecord
 from apktriage.util import pct
 
 
-def registrant_stats(records, total_domains: int | None = None,
-                     places: int = 2) -> list[tuple[str, int, float]]:
+def registrant_stats(records, total_domains: int | None = None) -> list[tuple[str, int, float]]:
     """(registrant, count, percentage) descending by count. The
     percentage denominator is the total number of monitored domains."""
     if not records:
@@ -19,4 +18,4 @@ def registrant_stats(records, total_domains: int | None = None,
         counts[name] = counts.get(name, 0) + 1
     denom = total_domains if total_domains is not None else sum(counts.values())
     rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(name, n, pct(n, denom, places)) for name, n in rows]
+    return [(name, n, pct(n, denom)) for name, n in rows]

@@ -14,7 +14,7 @@ from apktriage.infrawatch.timeline import (
 )
 
 # a probe is Alive iff DNS resolves and the HTTP status is below this
-DEFAULT_DEAD_STATUS = 500
+DEAD_STATUS = 500
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ def ticks(window: Window, cadence: timedelta):
 
 
 def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Prober,
-                 store: TimelineStore | None = None,
-                 dead_status: int = DEFAULT_DEAD_STATUS) -> None:
+                 store: TimelineStore | None = None) -> None:
     """Run one inspection; failures are recorded as gaps, never dropped."""
     try:
         ips = resolver.resolve(t.domain, ts)
@@ -64,7 +63,7 @@ def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Pr
             return
         if status is None:
             probe = Probe(ts=ts, alive=False, detail="unreachable")
-        elif status < dead_status:
+        elif status < DEAD_STATUS:
             probe = Probe(ts=ts, alive=True, detail=f"{status // 100}xx")
         else:
             probe = Probe(ts=ts, alive=False, detail=f"{status // 100}xx")
@@ -76,8 +75,7 @@ def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Pr
 def schedule(domains, window: Window, cadence: timedelta,
              resolver: Resolver, prober: Prober,
              whois: WhoisClient | None = None,
-             store: TimelineStore | None = None,
-             dead_status: int = DEFAULT_DEAD_STATUS) -> dict[str, DomainTimeline]:
+             store: TimelineStore | None = None) -> dict[str, DomainTimeline]:
     """Monitor every domain across the window. Resumes from persisted
     timelines when a store is supplied: already-covered ticks are skipped.
     Ticks run as UTC whole seconds, the form the store keeps, so the
@@ -102,7 +100,7 @@ def schedule(domains, window: Window, cadence: timedelta,
                         stamp = pending[0] if pending else tick_list[-1]
                         store.set_whois(domain, stamp, rec)
             for tick in pending:
-                monitor_tick(t, tick, resolver, prober, store, dead_status)
+                monitor_tick(t, tick, resolver, prober, store)
     finally:
         if store:
             store.close()

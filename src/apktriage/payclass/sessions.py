@@ -30,12 +30,12 @@ CHANNELS = (CHANNEL_RAIL, CHANNEL_BANK, CHANNEL_DIGITAL, CHANNEL_UNKNOWN)
 # Recipient-identifier shapes that mark a digital-currency address even when
 # the observation carries no channel hint: base58-style (BTC-like) and
 # bech32/hex-style (segwit, EVM) addresses.
-DEFAULT_DIGITAL_PATTERNS = (
+DIGITAL_PATTERNS = tuple(re.compile(p) for p in (
     r"^[13][1-9A-HJ-NP-Za-km-z]{25,34}$",
     r"^bc1[02-9ac-hj-np-z]{11,71}$",
     r"^0x[0-9a-fA-F]{40}$",
     r"^T[1-9A-HJ-NP-Za-km-z]{33}$",
-)
+))
 
 MIN_CONFIDENT_OBSERVATIONS = 3
 
@@ -68,7 +68,7 @@ class PaymentClassification:
     evidence: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _infer_channel(obs, digital_patterns) -> tuple[str, list[str]]:
+def _infer_channel(obs) -> tuple[str, list[str]]:
     evidence = []
     hints = Counter(o.channel_hint for o in obs if o.channel_hint != CHANNEL_UNKNOWN)
     if hints:
@@ -77,9 +77,8 @@ def _infer_channel(obs, digital_patterns) -> tuple[str, list[str]]:
     else:
         channel = CHANNEL_UNKNOWN
     if channel == CHANNEL_UNKNOWN:
-        compiled = [re.compile(p) for p in digital_patterns]
         matched = [o.recipient_id for o in obs
-                   if any(p.match(o.recipient_id) for p in compiled)]
+                   if any(p.match(o.recipient_id) for p in DIGITAL_PATTERNS)]
         if matched and len(matched) == len(obs):
             channel = CHANNEL_DIGITAL
             evidence.append(
@@ -88,8 +87,7 @@ def _infer_channel(obs, digital_patterns) -> tuple[str, list[str]]:
     return channel, evidence
 
 
-def classify_session(obs, licensed_db,
-                     digital_patterns=DEFAULT_DIGITAL_PATTERNS) -> PaymentClassification:
+def classify_session(obs, licensed_db) -> PaymentClassification:
     """Classify one session.
 
     ThirdParty: licensed payment domain and a single stable recipient.
@@ -106,7 +104,7 @@ def classify_session(obs, licensed_db,
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate request_index within session")
 
-    channel, evidence = _infer_channel(obs, digital_patterns)
+    channel, evidence = _infer_channel(obs)
     recipients = {o.recipient_id for o in obs}
     domains = {o.payment_domain.lower() for o in obs}
     licensed = all(d in licensed_db for d in domains)
@@ -132,7 +130,7 @@ def classify_session(obs, licensed_db,
     return PaymentClassification(session_id, kind, channel, tuple(evidence))
 
 
-def channel_breakdown(classifications, places: int = 2):
+def channel_breakdown(classifications):
     """Channel distribution over fourth-party sessions.
 
     Returns (rows, notice): rows are (channel, count, percentage) with
@@ -145,7 +143,7 @@ def channel_breakdown(classifications, places: int = 2):
         return [], "no fourth-party sessions observed"
     counts = Counter(c.channel for c in fourth)
     total = len(fourth)
-    rows = [(ch, counts[ch], pct(counts[ch], total, places))
+    rows = [(ch, counts[ch], pct(counts[ch], total))
             for ch in CHANNELS if counts[ch]]
     return rows, None
 

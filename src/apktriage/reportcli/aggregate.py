@@ -7,7 +7,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from apktriage.reportcli.taxonomy import TOP_CATEGORIES, top_of
-from apktriage.util import pct, round_half_up
+from apktriage.util import round_half_up
+
+PLACES = 2           # decimal places of percentages and permission means
+FRACTION_PLACES = 4  # decimal places of the hybrid and generator-usage fractions
 
 
 @dataclass(frozen=True)
@@ -20,7 +23,7 @@ class CorpusReport:
     notices: tuple[str, ...] = ()
 
 
-def category_distribution(labels, places: int = 2) -> dict:
+def category_distribution(labels) -> dict:
     """Per-top counts as percentages of the corpus, 2 decimals.
 
     A label without a known top counts in the corpus size only.
@@ -33,7 +36,7 @@ def category_distribution(labels, places: int = 2) -> dict:
     counts = Counter(top_of(label) for label in labels)
     n = len(labels)
     tops = [top for top in TOP_CATEGORIES if counts[top]]
-    unit = 10 ** places
+    unit = 10 ** PLACES
     exact = {top: counts[top] * 100 * unit / n for top in tops}
     floored = {top: int(exact[top]) for top in tops}
     known = sum(counts[top] for top in tops)
@@ -45,7 +48,7 @@ def category_distribution(labels, places: int = 2) -> dict:
     return {top: (counts[top], floored[top] / unit) for top in tops}
 
 
-def permission_aggregate(profiles, places: int = 2):
+def permission_aggregate(profiles):
     """Per-top-category and total means of (dangerous, normal, all)
     permission counts.
 
@@ -66,9 +69,9 @@ def permission_aggregate(profiles, places: int = 2):
     def means(items):
         k = len(items)
         return (
-            round_half_up(sum(p.dangerous_count for p in items) / k, places),
-            round_half_up(sum(p.normal_count for p in items) / k, places),
-            round_half_up(sum(p.all_count for p in items) / k, places),
+            round_half_up(sum(p.dangerous_count for p in items) / k, PLACES),
+            round_half_up(sum(p.normal_count for p in items) / k, PLACES),
+            round_half_up(sum(p.all_count for p in items) / k, PLACES),
         )
 
     rows = {top: means(items) for top, items in buckets.items() if items}
@@ -78,7 +81,7 @@ def permission_aggregate(profiles, places: int = 2):
     return rows, notices
 
 
-def paradigm_stats(paradigms, places: int = 4) -> dict:
+def paradigm_stats(paradigms) -> dict:
     """Fraction of hybrid apps over classified samples."""
     counts = Counter(p.value if hasattr(p, "value") else p for p in paradigms)
     total = sum(counts.values())
@@ -87,11 +90,11 @@ def paradigm_stats(paradigms, places: int = 4) -> dict:
         "total": total,
         "hybrid": hybrid,
         "native": counts.get("Native", 0),
-        "hybrid_fraction": round_half_up(hybrid / total, places) if total else 0.0,
+        "hybrid_fraction": round_half_up(hybrid / total, FRACTION_PLACES) if total else 0.0,
     }
 
 
-def generator_stats(matches, total: int, places: int = 4) -> dict:
+def generator_stats(matches, total: int) -> dict:
     """Per-generator breakdown plus the overall usage fraction.
 
     `matches` is an iterable of GeneratorMatch or None (no generator)."""
@@ -100,7 +103,7 @@ def generator_stats(matches, total: int, places: int = 4) -> dict:
     return {
         "total": total,
         "with_generator": used,
-        "usage_fraction": round_half_up(used / total, places) if total else 0.0,
+        "usage_fraction": round_half_up(used / total, FRACTION_PLACES) if total else 0.0,
         "per_generator": dict(sorted(counts.items(),
                                      key=lambda kv: (-kv[1], kv[0]))),
     }

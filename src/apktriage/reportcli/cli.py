@@ -53,8 +53,7 @@ def cmd_scan(args, cfg) -> int:
                                    filter_whitelist, load_suffix_list,
                                    load_whitelist)
     from apktriage.genscan import (KeyUnavailable, decrypt_assets,
-                                   detect_generator, fingerprint_for,
-                                   load_fingerprints)
+                                   detect_generator, load_fingerprints)
 
     fingerprints = load_fingerprints(_setting(args, cfg, "fingerprint_db"))
     dangerous = load_dangerous_db(_setting(args, cfg, "dangerous_permission_file"))
@@ -74,14 +73,12 @@ def cmd_scan(args, cfg) -> int:
                     apk = open_apk(f.read(), known_signatures)
                 match = detect_generator(apk, fingerprints)
                 decrypted = None
-                if match is not None:
-                    fp = fingerprint_for(match.generator_id, fingerprints)
-                    if fp.cipher.algo is not None:
-                        try:
-                            decrypted = decrypt_assets(apk, match, db=fingerprints)
-                        except KeyUnavailable:
-                            decrypted = None
-                urls = extract_urls(apk, user_content=decrypted, psl=suffixes)
+                if match is not None and match.fingerprint.cipher.algo is not None:
+                    try:
+                        decrypted = decrypt_assets(apk, match).decrypted
+                    except KeyUnavailable:
+                        pass
+                urls = extract_urls(apk, suffixes, decrypted)
                 if whitelist:
                     urls = filter_whitelist(urls, whitelist, suffixes)
                 paradigm = classify_paradigm(apk, match)
@@ -164,7 +161,7 @@ def cmd_watch(args, cfg) -> int:
     cadence = timedelta(days=int(_setting(args, cfg, "cadence_days", 1)))
     store = TimelineStore(args.store)
     with open(args.domains, encoding="utf-8") as f:
-        domains = [d.strip() for d in f if d.strip() and not d.startswith("#")]
+        domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
 
     script_path = _setting(args, cfg, "script")
     if script_path:

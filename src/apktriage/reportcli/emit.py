@@ -37,7 +37,7 @@ def _csv_string(header, rows) -> str:
 
 
 def _json_string(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def emit_report(out_base: str, header, rows, mirror) -> tuple[str, str]:

@@ -25,13 +25,15 @@ from apk_builder import (
     pkcs7_block,
 )
 
+KNOWN = load_known_signatures()
+
 
 class TestOpenApk:
     def test_basic_fields(self):
         raw = build_apk(package="com.fixture.app",
                         permissions=("android.permission.INTERNET",
                                      "android.permission.READ_SMS"))
-        apk = open_apk(raw)
+        apk = open_apk(raw, KNOWN)
         assert apk.package_name == "com.fixture.app"
         assert apk.manifest_valid
         assert apk.manifest.main_activity == "com.fixture.app.MainActivity"
@@ -41,30 +43,30 @@ class TestOpenApk:
 
     def test_not_a_zip(self):
         with pytest.raises(NotAZip):
-            open_apk(b"garbage bytes, definitely not a zip")
+            open_apk(b"garbage bytes, definitely not a zip", KNOWN)
 
     def test_no_manifest(self):
         with pytest.raises(NoManifest):
-            open_apk(build_apk(omit_manifest=True))
+            open_apk(build_apk(omit_manifest=True), KNOWN)
 
     def test_invalid_manifest_flagged_not_fatal(self):
-        apk = open_apk(build_apk(manifest_bytes=b"\x99\x99 broken axml"))
+        apk = open_apk(build_apk(manifest_bytes=b"\x99\x99 broken axml"), KNOWN)
         assert not apk.manifest_valid
         assert apk.manifest is None
 
     def test_manifest_mtime(self):
-        apk = open_apk(build_apk(manifest_mtime=(2020, 12, 6, 0, 0, 0)))
+        apk = open_apk(build_apk(manifest_mtime=(2020, 12, 6, 0, 0, 0)), KNOWN)
         assert (apk.manifest_mtime.year, apk.manifest_mtime.month,
                 apk.manifest_mtime.day) == (2020, 12, 6)
 
     def test_entry_read(self):
-        apk = open_apk(build_apk(extra_files={"assets/data.txt": b"payload"}))
+        apk = open_apk(build_apk(extra_files={"assets/data.txt": b"payload"}), KNOWN)
         assert apk.read("assets/data.txt") == b"payload"
 
 
 class TestSigners:
     def test_developer_signature(self):
-        apk = open_apk(build_apk(signer_dn=DEVELOPER_DN))
+        apk = open_apk(build_apk(signer_dn=DEVELOPER_DN), KNOWN)
         (signer,) = apk.signers
         assert signer.signature_class == CLASS_DEVELOPER
         assert signer.completeness == 1.0
@@ -73,17 +75,17 @@ class TestSigners:
         assert set(signer.dn_fields) <= set(DN_FIELDS)
 
     def test_debug_signature_classified(self):
-        apk = open_apk(build_apk(signer_dn=DEBUG_DN))
+        apk = open_apk(build_apk(signer_dn=DEBUG_DN), KNOWN)
         (signer,) = apk.signers
         assert signer.signature_class == CLASS_DEBUG
 
     def test_unsigned_apk_flagged_not_fatal(self):
-        apk = open_apk(build_apk(signer_dn=None))
+        apk = open_apk(build_apk(signer_dn=None), KNOWN)
         assert apk.signers == ()
 
     def test_completeness_partial(self):
         dn = {"commonName": "Solo", "country": "CN"}
-        apk = open_apk(build_apk(signer_dn=dn))
+        apk = open_apk(build_apk(signer_dn=dn), KNOWN)
         (signer,) = apk.signers
         assert signer.completeness == pytest.approx(2 / 7)
 
@@ -107,13 +109,13 @@ class TestPermissions:
             "android.permission.INTERNET",          # normal
             "android.permission.READ_CONTACTS",     # dangerous
             "android.permission.READ_SMS",          # dangerous
-        )))
+        )), KNOWN)
         profile = permission_profile(apk.manifest, db)
         assert profile.dangerous_count == 2
         assert profile.normal_count == 1
         assert profile.all_count == 3
 
     def test_empty_db_rejected(self):
-        apk = open_apk(build_apk())
+        apk = open_apk(build_apk(), KNOWN)
         with pytest.raises(ValueError):
             permission_profile(apk.manifest, frozenset())

@@ -66,11 +66,21 @@ def _mutate(data: bytes, what: str) -> bytes:
     elif what == "unbalanced":
         # drop the final end-element chunk
         b = b[:-24]
+    elif what == "pool_count":
+        # a string count whose offset table runs past the pool chunk
+        b[16:20] = (0x0FFFFFFF).to_bytes(4, "little")
+    elif what == "res_map_header":
+        # a resource-map header size larger than the whole chunk
+        pos = int.from_bytes(b[2:4], "little")
+        while int.from_bytes(b[pos:pos + 2], "little") != 0x0180:
+            pos += int.from_bytes(b[pos + 4:pos + 8], "little")
+        size = int.from_bytes(b[pos + 4:pos + 8], "little")
+        b[pos + 2:pos + 4] = (size + 4).to_bytes(2, "little")
     return bytes(b)
 
 
 @pytest.mark.parametrize("what", ["magic", "truncate", "tiny", "chunk_size",
-                                  "unbalanced"])
+                                  "unbalanced", "pool_count", "res_map_header"])
 def test_mutations_rejected(what):
     data = build_manifest(**GOLDEN[1])
     with pytest.raises(ManifestUndecodable):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -13,6 +14,7 @@ import apktriage
 from apktriage.reportcli.cli import main
 
 from apk_builder import build_apk
+from axml_writer import build_manifest
 
 
 def test_scan_outputs_jsonl(tmp_path):
@@ -175,6 +177,58 @@ def test_scan_isolates_unreadable_apk(tmp_path):
     assert recs[1]["error_kind"] == "FileNotFoundError"
 
 
+def test_scan_survives_hostile_manifest_header(tmp_path):
+    manifest = bytearray(build_manifest("com.b", main_activity=".Main"))
+    manifest[16:20] = (0x0FFFFFFF).to_bytes(4, "little")  # string-pool count
+    d = tmp_path / "apks"
+    d.mkdir()
+    (d / "a.apk").write_bytes(build_apk(package="com.a"))
+    (d / "b.apk").write_bytes(build_apk(manifest_bytes=bytes(manifest)))
+    (d / "c.apk").write_bytes(build_apk(package="com.c"))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["package"] for r in recs] == ["com.a", "", "com.c"]
+    assert [r["manifest_valid"] for r in recs] == [True, False, True]
+
+
+def test_scan_loads_reference_data_once(tmp_path, monkeypatch):
+    from apktriage.apkcore import certs, permissions
+    from apktriage.extract import psl
+    from apktriage.genscan import fingerprints
+
+    loaders = [certs.load_known_signatures, fingerprints.load_fingerprints,
+               psl.load_suffix_list, permissions.load_dangerous_db]
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "apktriage" or name.startswith("apktriage.")]
+    for fn in loaders:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        # every binding of the loader, re-exports included
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+
+    d = tmp_path / "apks"
+    d.mkdir()
+    for name in ("a", "b", "c"):
+        (d / f"{name}.apk").write_bytes(build_apk(
+            package=f"com.{name}",
+            extra_files={"assets/cfg.json": b'{"u": "https://c2.example/x"}'}))
+    # an AppCan sample: detection, then a cipher whose key is not supplied
+    (d / "d.apk").write_bytes(build_apk(package="com.d", extra_files={
+        "assets/widgetone/app.json": b"{}", "lib/armeabi/libappcan.so": b"\x7fELF"}))
+    whitelist = tmp_path / "top.csv"
+    whitelist.write_text("1,google.com\n")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out), "--whitelist", str(whitelist)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert calls == {fn.__name__: 1 for fn in loaders}
+
+
 def test_watch_scripted(tmp_path):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")
@@ -212,6 +266,21 @@ def test_watch_lifespan_table_without_probes(tmp_path, listed, script):
                  "--script", str(script_path)]) == 0
     assert (tmp_path / "w.lifespan.csv").read_bytes() == b"Domain,Start,End,EndKind,Days\r\n"
     assert json.loads((tmp_path / "w.lifespan.json").read_text()) == []
+
+
+def test_watch_skips_indented_comments(tmp_path):
+    domains = tmp_path / "domains.txt"
+    domains.write_text("# monitored\n  # indented note\n\ta.example \n")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"resolutions": {"a.example": [["1.1.1.1"]]},
+                                  "probes": {"a.example": [200]}}))
+    assert main(["watch", str(domains), "--store", str(tmp_path / "store"),
+                 "--output", str(tmp_path / "w"),
+                 "--window-start", "2021-01-01", "--window-end", "2021-01-02",
+                 "--script", str(script)]) == 0
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["a.example.jsonl"]
+    lifespans = json.loads((tmp_path / "w.lifespan.json").read_text())
+    assert [r["domain"] for r in lifespans] == ["a.example"]
 
 
 # per tick: [resolver answer, prober answer]; the prober is asked only

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apktriage.apkcore import ApkError, open_apk
+from apktriage.apkcore.certs import load_known_signatures
 from apktriage.extract import (
     ImageUndecodable,
     UrlSet,
@@ -31,6 +32,7 @@ import url_oracle
 from apk_builder import build_apk
 
 PSL = load_suffix_list()
+KNOWN = load_known_signatures()
 
 
 class TestPsl:
@@ -86,7 +88,7 @@ class TestUrlExtraction:
         apk = open_apk(build_apk(extra_files={
             "assets/config.json": b'{"api": "https://c2.badhost.net/api"}',
             "res/raw/blob.bin": b"\x00\x01http://plain.example/x\x00\x02",
-        }))
+        }), KNOWN)
         u = extract_urls(apk, psl=PSL)
         assert "https://c2.badhost.net/api" in u.urls
         assert "http://plain.example/x" in u.urls
@@ -106,7 +108,7 @@ class TestUrlExtraction:
         name = data.find(b"res/raw/bad.bin")
         start = name + len(b"res/raw/bad.bin")
         data[start:start + 4] = b"\xff" * 4
-        apk = open_apk(bytes(data))
+        apk = open_apk(bytes(data), KNOWN)
         with pytest.raises(ApkError):
             apk.read("res/raw/bad.bin")
         u = extract_urls(apk, psl=PSL)
@@ -140,7 +142,7 @@ _entries_st = st.lists(st.lists(st.sampled_from(_FRAGMENTS), max_size=12), max_s
 
 def _check_apk(files: dict[str, bytes]) -> None:
     raw = build_apk(extra_files=files)
-    u = extract_urls(open_apk(raw), psl=PSL)
+    u = extract_urls(open_apk(raw, KNOWN), psl=PSL)
     assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_extract(raw, PSL)
 
 
@@ -193,15 +195,16 @@ class TestWhitelist:
 
     def test_ranked_file(self, tmp_path):
         p = tmp_path / "top.csv"
-        p.write_text("1,google.com\n2,baidu.com\n")
-        wl = load_whitelist(p, include_third_party=False)
-        assert wl == frozenset({"google.com", "baidu.com"})
+        p.write_text("1,google.com\n2,baidu.com\n# note\n\nexample.org\n")
+        wl = load_whitelist(p)
+        assert wl == load_whitelist() | {"google.com", "baidu.com", "example.org"}
 
     def test_limit(self, tmp_path):
+        # only the first 10,000 lines of a ranked file count
         p = tmp_path / "top.csv"
-        p.write_text("".join(f"{i},site{i}.com\n" for i in range(20)))
-        wl = load_whitelist(p, limit=5, include_third_party=False)
-        assert len(wl) == 5
+        p.write_text("".join(f"{i},site{i}.example\n" for i in range(10_005)))
+        ranked = load_whitelist(p) - load_whitelist()
+        assert ranked == {f"site{i}.example" for i in range(10_000)}
 
     def test_filter_and_idempotence(self):
         u = urlset_from_strings([
@@ -220,13 +223,13 @@ class TestParadigm:
     DB = load_fingerprints()
 
     def test_native(self):
-        apk = open_apk(build_apk(extra_files={"assets/model.bin": bytes(1000)}))
+        apk = open_apk(build_apk(extra_files={"assets/model.bin": bytes(1000)}), KNOWN)
         label = classify_paradigm(apk, None)
         assert label.value == "Native"
         assert label.evidence == ()
 
     def test_hybrid_by_generator(self):
-        apk = open_apk(build_apk(main_activity="io.dcloud.PandoraEntry"))
+        apk = open_apk(build_apk(main_activity="io.dcloud.PandoraEntry"), KNOWN)
         match = detect_generator(apk, self.DB)
         label = classify_paradigm(apk, match)
         assert label.value == "Hybrid"
@@ -235,13 +238,13 @@ class TestParadigm:
     def test_hybrid_by_web_assets(self):
         apk = open_apk(build_apk(extra_files={
             "assets/www/app.html": b"<html>" + b"x" * 5000,
-            "assets/data.bin": bytes(100)}))
+            "assets/data.bin": bytes(100)}), KNOWN)
         label = classify_paradigm(apk, None)
         assert label.value == "Hybrid"
 
     def test_hybrid_by_browser_lib(self):
         apk = open_apk(build_apk(extra_files={
-            "lib/armeabi/libxwalkcore.so": b"\x7fELF"}))
+            "lib/armeabi/libxwalkcore.so": b"\x7fELF"}), KNOWN)
         assert classify_paradigm(apk, None).value == "Hybrid"
 
 

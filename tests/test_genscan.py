@@ -1,16 +1,17 @@
 """Generator fingerprinting, asset decryption and content-split tests."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from apktriage.apkcore import open_apk
+from apktriage.apkcore.certs import load_known_signatures
 from apktriage.genscan import (
     CipherError,
     KeyUnavailable,
     decrypt_assets,
     detect_generator,
-    fingerprint_for,
     load_fingerprints,
     split_user_content,
 )
@@ -20,6 +21,15 @@ from apktriage.genscan.content import looks_plaintext
 from apk_builder import build_apk
 
 DB = load_fingerprints()
+KNOWN = load_known_signatures()
+
+
+def _keyed_db(key: bytes):
+    """The shipped database with AppCan's key given as a constant, the way
+    a supplied fingerprint database names generator keys."""
+    source = {"type": "constant", "hex": key.hex()}
+    return [replace(fp, cipher=replace(fp.cipher, key_source=source))
+            if fp.generator_id == "AppCan" else fp for fp in DB]
 
 
 def test_shipped_database_has_47_generators():
@@ -43,7 +53,7 @@ def test_dcloud_main_activity_match():
     apk = open_apk(build_apk(
         package="com.example.gen",
         main_activity="io.dcloud.PandoraEntry",
-        extra_files={"assets/apps/H5/www/index.html": b"<html></html>"}))
+        extra_files={"assets/apps/H5/www/index.html": b"<html></html>"}), KNOWN)
     match = detect_generator(apk, DB)
     assert match is not None
     assert match.generator_id == "DCloud"
@@ -55,22 +65,23 @@ def test_appcan_full_confidence():
     apk = open_apk(build_apk(
         package="com.biz.shop",
         extra_files={"assets/widgetone/app.json": b"{}",
-                     "lib/armeabi-v7a/libappcan.so": b"\x7fELF"}))
+                     "lib/armeabi-v7a/libappcan.so": b"\x7fELF"}), KNOWN)
     match = detect_generator(apk, DB)
     assert match.generator_id == "AppCan"
+    assert match.fingerprint is next(fp for fp in DB if fp.generator_id == "AppCan")
     assert match.confidence == 1.0
     assert len(match.matched_rules) == 2
 
 
 def test_no_generator_returns_none():
-    apk = open_apk(build_apk(package="plain.native.app"))
+    apk = open_apk(build_apk(package="plain.native.app"), KNOWN)
     assert detect_generator(apk, DB) is None
 
 
 def test_detection_deterministic_under_db_order():
     apk = open_apk(build_apk(
         package="com.example.gen",
-        main_activity="io.dcloud.PandoraEntry"))
+        main_activity="io.dcloud.PandoraEntry"), KNOWN)
     assert detect_generator(apk, DB) == detect_generator(apk, list(reversed(DB)))
 
 
@@ -83,11 +94,6 @@ def test_custom_db_rejects_duplicates(tmp_path):
         load_fingerprints(p)
 
 
-def test_fingerprint_for_unknown():
-    with pytest.raises(KeyError):
-        fingerprint_for("NoSuchGenerator", DB)
-
-
 class TestContent:
     def _appcan_apk(self, cipher_key=b"appcan-demo-key!", plain=b'{"urls": []}'):
         protected = rc4(plain, cipher_key)
@@ -98,12 +104,12 @@ class TestContent:
                 "assets/widgetone/engine.js": b"var engine = 1;",
                 "assets/usercontent/page.html": b"<html>user</html>",
                 "lib/armeabi-v7a/libappcan.so": b"\x7fELF",
-            }))
+            }), KNOWN)
 
     def test_split_user_content(self):
         apk = self._appcan_apk()
         match = detect_generator(apk, DB)
-        content = split_user_content(apk, match, DB)
+        content = split_user_content(apk, match)
         assert "assets/usercontent/page.html" in content.user_entries
         assert all(p.startswith("assets/widgetone/")
                    for p in content.template_entries)
@@ -112,32 +118,31 @@ class TestContent:
         key = b"appcan-demo-key!"
         plain = b'{"server": "http://evil.example/api"}'
         apk = self._appcan_apk(key, plain)
-        match = detect_generator(apk, DB)
-        fp = fingerprint_for(match.generator_id, DB)
-        assert fp.cipher.algo == "RC4"
-        content = decrypt_assets(apk, match, key=key, db=DB)
+        match = detect_generator(apk, _keyed_db(key))
+        assert match.fingerprint.cipher.algo == "RC4"
+        content = decrypt_assets(apk, match)
         got = content.decrypted.get("assets/widgetone/apps/main/config.json")
         assert got == plain
 
     def test_decrypt_wrong_key_fails_validation(self):
         apk = self._appcan_apk(b"right-key-123456", b'{"a": 1}' * 50)
-        match = detect_generator(apk, DB)
-        content = decrypt_assets(apk, match, key=b"wrong-key-654321", db=DB)
+        match = detect_generator(apk, _keyed_db(b"wrong-key-654321"))
+        content = decrypt_assets(apk, match)
         assert "assets/widgetone/apps/main/config.json" in content.failed
 
     def test_missing_key_raises(self):
         apk = self._appcan_apk()
         match = detect_generator(apk, DB)
         with pytest.raises(KeyUnavailable):
-            decrypt_assets(apk, match, db=DB)
+            decrypt_assets(apk, match)
 
     def test_cipherless_generator_rejects_decrypt(self):
         apk = open_apk(build_apk(package="g.x",
-                                 main_activity="io.dcloud.PandoraEntry"))
+                                 main_activity="io.dcloud.PandoraEntry"), KNOWN)
         match = detect_generator(apk, DB)
-        assert fingerprint_for(match.generator_id, DB).cipher.algo is None
+        assert match.fingerprint.cipher.algo is None
         with pytest.raises(CipherError):
-            decrypt_assets(apk, match, key=b"k", db=DB)
+            decrypt_assets(apk, match)
 
 
 class TestLooksPlaintext:

@@ -1,5 +1,7 @@
 """Taxonomy validation, aggregation and report-emission tests."""
 
+from decimal import Decimal
+
 import pytest
 
 from apktriage.apkcore.permissions import PermissionProfile
@@ -143,6 +145,12 @@ class TestEmit:
         csv_path, _ = emit_report(str(tmp_path / "q"), *corpus_table(report))
         data = open(csv_path, "rb").read()
         assert b"\r\n" in data
+
+    def test_non_json_value_is_an_error(self, tmp_path):
+        # a value JSON cannot hold is refused, not written as its str()
+        with pytest.raises(TypeError):
+            emit_report(str(tmp_path / "d"), ["Amount"], [["1.50"]],
+                        {"amount": Decimal("1.50")})
 
 
 class TestLabelIo:
