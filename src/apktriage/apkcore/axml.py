@@ -23,8 +23,6 @@ CHUNK_CDATA = 0x0104
 CHUNK_RESOURCE_MAP = 0x0180
 
 TYPE_STRING = 0x03
-TYPE_INT_DEC = 0x10
-TYPE_INT_HEX = 0x11
 TYPE_INT_BOOLEAN = 0x12
 
 UTF8_FLAG = 1 << 8
@@ -195,8 +193,6 @@ def _parse_start_element(data, pos, chdr, pool, res_map) -> AxmlElement:
             value = pool.get(vdata)
         elif vtype == TYPE_INT_BOOLEAN:
             value = vdata != 0
-        elif vtype in (TYPE_INT_DEC, TYPE_INT_HEX):
-            value = vdata
         else:
             value = vdata
         elem.attributes.append(AxmlAttribute(pool.get(a_ns), name, value))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from apktriage.apkcore.axml import AxmlElement, parse_axml
 from apktriage.apkcore.errors import ManifestUndecodable
@@ -20,10 +20,19 @@ class ManifestInfo:
     target_sdk: int | None = None
 
 
+def _str_attr(elem: AxmlElement, name: str) -> str | None:
+    """A string attribute's value, or None when it is absent. Any other
+    value type makes the manifest undecodable."""
+    value = elem.attr(name)
+    if value is not None and not isinstance(value, str):
+        raise ManifestUndecodable(f"<{elem.name}> attribute {name!r} is not a string")
+    return value
+
+
 def _is_launcher(activity: AxmlElement) -> bool:
     for intent in activity.find_all("intent-filter"):
-        actions = {a.attr("name") for a in intent.find_all("action")}
-        categories = {c.attr("name") for c in intent.find_all("category")}
+        actions = {_str_attr(a, "name") for a in intent.find_all("action")}
+        categories = {_str_attr(c, "name") for c in intent.find_all("category")}
         if ACTION_MAIN in actions and CATEGORY_LAUNCHER in categories:
             return True
     return False
@@ -43,11 +52,11 @@ def parse_manifest(axml_bytes: bytes) -> ManifestInfo:
     root = parse_axml(axml_bytes)
     if root.name != "manifest":
         raise ManifestUndecodable(f"root element is <{root.name}>, not <manifest>")
-    package = root.attr("package") or ""
+    package = _str_attr(root, "package") or ""
 
     permissions = set()
     for up in root.find_all("uses-permission"):
-        name = up.attr("name")
+        name = _str_attr(up, "name")
         if name:
             permissions.add(name)
 
@@ -65,7 +74,7 @@ def parse_manifest(axml_bytes: bytes) -> ManifestInfo:
         for tag in ("activity", "activity-alias"):
             for activity in app.find_all(tag):
                 if _is_launcher(activity):
-                    candidate = _qualify(activity.attr("name"), package)
+                    candidate = _qualify(_str_attr(activity, "name"), package)
                     if main_activity is None:
                         main_activity = candidate
 

@@ -1,7 +1,6 @@
 from apktriage.assoc.features import (
     SampleFeatures,
     features_from_json,
-    features_to_json,
     read_features_jsonl,
 )
 from apktriage.assoc.graph import (
@@ -22,8 +21,7 @@ from apktriage.assoc.rules import (
 from apktriage.assoc.stats import GroupRow, group_stats, group_table
 
 __all__ = [
-    "SampleFeatures", "features_from_json", "features_to_json",
-    "read_features_jsonl",
+    "SampleFeatures", "features_from_json", "read_features_jsonl",
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
     "seed_neighborhood", "AssocConfig", "assoc_signature", "assoc_snapshot",
     "fired_rules", "overlap", "shared_ip",

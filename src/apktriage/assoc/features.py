@@ -1,9 +1,9 @@
-"""Per-sample association features and their JSON-lines form."""
+"""Per-sample association features, read from JSON lines."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from apktriage.apkcore.certs import CLASS_DEVELOPER, SignerIdentity
 from apktriage.extract.snapshot import VisualFingerprint
@@ -25,28 +25,6 @@ class SampleFeatures:
         if self.signature is not None and self.signature.signature_class == CLASS_DEVELOPER:
             return self.signature
         return None
-
-
-def features_to_json(f: SampleFeatures) -> str:
-    sig = None
-    if f.signature is not None:
-        sig = {
-            "fingerprint": f.signature.fingerprint,
-            "dn_fields": dict(sorted(f.signature.dn_fields.items())),
-            "signature_class": f.signature.signature_class,
-        }
-    obj = {
-        "sample_id": f.sample_id,
-        "signature": sig,
-        "urls": sorted(f.url_set.urls),
-        "ip_literals": sorted(f.url_set.ip_literals),
-        "domains": sorted(f.url_set.domains),
-        "resolved_ips": sorted(f.resolved_ips),
-        "fingerprints": [{"hash": format(fp.hash_bits, "016x"), "source": fp.source}
-                         for fp in f.fingerprints],
-        "label": f.label,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def features_from_json(line: str) -> SampleFeatures:

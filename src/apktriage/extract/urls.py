@@ -38,10 +38,6 @@ class UrlSet:
     ip_literals: frozenset[str]
     domains: frozenset[str]
 
-    @staticmethod
-    def empty() -> "UrlSet":
-        return UrlSet(frozenset(), frozenset(), frozenset())
-
 
 def normalize_url(raw: str) -> str | None:
     raw = raw.rstrip(".,;:)]}\"'")

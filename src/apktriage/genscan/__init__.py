@@ -1,10 +1,5 @@
 from apktriage.genscan.ciphers import CipherError, KeyUnavailable
-from apktriage.genscan.content import (
-    DecryptedAssets,
-    UserContent,
-    decrypt_assets,
-    split_user_content,
-)
+from apktriage.genscan.content import DecryptedAssets, decrypt_assets
 from apktriage.genscan.fingerprints import (
     CipherScheme,
     EvidenceRule,
@@ -16,7 +11,7 @@ from apktriage.genscan.fingerprints import (
 
 __all__ = [
     "CipherError", "KeyUnavailable",
-    "DecryptedAssets", "UserContent", "decrypt_assets", "split_user_content",
+    "DecryptedAssets", "decrypt_assets",
     "CipherScheme", "EvidenceRule", "GeneratorFingerprint", "GeneratorMatch",
     "detect_generator", "load_fingerprints",
 ]

@@ -1,9 +1,9 @@
 """Symmetric ciphers used by app generators to protect bundled assets.
 
 RC4, classic TEA (32 cycles, big-endian words), AES-CBC and DES-CBC.
-Block modes use PKCS#7 padding. ``encrypt``/``decrypt`` run them with a
-zero IV, which matches how generator runtimes invoke them; the CBC
-functions themselves also take an IV, as the published test vectors need.
+Block modes use PKCS#7 padding. ``decrypt`` runs them with a zero IV,
+which matches how generator runtimes invoke them; the CBC functions
+themselves also take an IV, as the published test vectors need.
 
 AES and DES run on the `cryptography` library. RC4 and TEA are plain
 Python: `cryptography`'s ARC4 accepts only some key lengths, and it has
@@ -166,27 +166,12 @@ def _pkcs7_unpad(data: bytes, block: int) -> bytes:
     return data[:-n]
 
 
-_ENCRYPTORS = {
-    "RC4": rc4,
-    "TEA": tea_encrypt,
-    "AES_CBC": aes_cbc_encrypt,
-    "DES_CBC": des_cbc_encrypt,
-}
-
 _DECRYPTORS = {
     "RC4": rc4,
     "TEA": tea_decrypt,
     "AES_CBC": aes_cbc_decrypt,
     "DES_CBC": des_cbc_decrypt,
 }
-
-
-def encrypt(algo: str, data: bytes, key: bytes) -> bytes:
-    try:
-        fn = _ENCRYPTORS[algo]
-    except KeyError:
-        raise CipherError(f"unknown cipher {algo!r}") from None
-    return fn(data, key)
 
 
 def decrypt(algo: str, data: bytes, key: bytes) -> bytes:

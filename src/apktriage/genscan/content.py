@@ -1,4 +1,4 @@
-"""Decrypt protected assets; split generator template content from user content."""
+"""Decrypt the assets a generator protects with its cipher."""
 
 from __future__ import annotations
 
@@ -16,12 +16,6 @@ _PLAINTEXT_MAGICS = (b"PK\x03\x04", b"\x89PNG", b"<", b"\xff\xd8\xff", b"{", b"[
 class DecryptedAssets:
     decrypted: dict[str, bytes] = field(default_factory=dict)
     failed: list[str] = field(default_factory=list)
-
-
-@dataclass
-class UserContent:
-    user_entries: list[str]
-    template_entries: list[str]
 
 
 def looks_plaintext(data: bytes) -> bool:
@@ -81,16 +75,3 @@ def decrypt_assets(apk: ApkArtifact, match: GeneratorMatch) -> DecryptedAssets:
         else:
             assets.failed.append(entry.path)
     return assets
-
-
-def split_user_content(apk: ApkArtifact, match: GeneratorMatch) -> UserContent:
-    """Partition asset entries into user vs. template by path prefix."""
-    user, template = [], []
-    for entry in apk.entries:
-        if not entry.path.startswith("assets/"):
-            continue
-        if any(entry.path.startswith(p) for p in match.fingerprint.template_paths):
-            template.append(entry.path)
-        else:
-            user.append(entry.path)
-    return UserContent(user_entries=user, template_entries=template)

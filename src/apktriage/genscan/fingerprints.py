@@ -2,7 +2,7 @@
 
 Each fingerprint carries evidence rules (main-activity name, package
 prefix, asset path, native library), an optional cipher scheme and the
-path prefixes owned by the generator's template. The shipped database
+path prefixes of the assets that cipher protects. The shipped database
 covers the 47 known generators; pass a JSON file with the same schema to
 extend or override it.
 """
@@ -53,7 +53,6 @@ class GeneratorFingerprint:
     generator_id: str
     evidence_rules: tuple[EvidenceRule, ...]
     cipher: CipherScheme
-    template_paths: tuple[str, ...]
     protected_paths: tuple[str, ...] = ()
 
 
@@ -84,7 +83,6 @@ def _parse_fingerprint(obj: dict) -> GeneratorFingerprint:
             algo=cipher.get("algo"),
             key_source=cipher.get("key_source", {"type": "external"}),
         ),
-        template_paths=tuple(obj.get("template_paths", ())),
         protected_paths=tuple(obj.get("protected_paths", ())),
     )
 

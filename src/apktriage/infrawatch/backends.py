@@ -15,7 +15,6 @@ from apktriage.infrawatch.timeline import WhoisRecord
 
 PROBE_TIMEOUT_S = 10.0
 PROBE_MAX_REDIRECTS = 5
-PROBE_BODY_LIMIT = 4096
 
 
 class BackendUnavailable(Exception):
@@ -99,24 +98,20 @@ class DnsResolver:
 
 
 class HttpProber:
-    """Plain HTTP(S) GET of "/" with a timeout and bounded redirects;
-    only the status and the first 4 KiB of the body are retained."""
-
-    def __init__(self):
-        self.last_body: bytes = b""
+    """Plain HTTP(S) GET of "/" with a timeout and bounded redirects; only
+    the status is kept, and the body is never read."""
 
     def probe(self, domain, ts):
         import requests
-        session = requests.Session()
-        session.max_redirects = PROBE_MAX_REDIRECTS
-        for scheme in ("http", "https"):
-            try:
-                resp = session.get(f"{scheme}://{domain}/", timeout=PROBE_TIMEOUT_S,
-                                   stream=True, verify=False)
-                self.last_body = resp.raw.read(PROBE_BODY_LIMIT, decode_content=True)
-                return resp.status_code
-            except requests.TooManyRedirects:
-                return None
-            except requests.RequestException:
-                continue
+        with requests.Session() as session:
+            session.max_redirects = PROBE_MAX_REDIRECTS
+            for scheme in ("http", "https"):
+                try:
+                    with session.get(f"{scheme}://{domain}/", timeout=PROBE_TIMEOUT_S,
+                                     stream=True, verify=False) as resp:
+                        return resp.status_code
+                except requests.TooManyRedirects:
+                    return None
+                except requests.RequestException:
+                    continue
         return None

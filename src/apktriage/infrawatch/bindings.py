@@ -57,15 +57,14 @@ def _overlaps(a: BindingSegment, b: BindingSegment) -> bool:
 
 
 def classify_bindings(timelines) -> tuple[dict[str, BindingClassification], dict]:
-    """Classify each monitored domain and summarize the population.
+    """Classify each monitored domain (an iterable of timelines) and
+    summarize the population; means are summed in iteration order.
 
     Flexible = at least two distinct IPs ever resolved. Type-I shares an
     IP with another monitored domain's bindings at any time (same-period
     and cross-period sharing both count, reported as sub-flags); type-II
     never shares. Domains with zero or one distinct IP are Fixed.
     """
-    if isinstance(timelines, dict):
-        timelines = list(timelines.values())
     per_domain: dict[str, tuple[BindingSegment, ...]] = {}
     distinct: dict[str, set[str]] = {}
     for t in timelines:

@@ -67,14 +67,13 @@ def cctld_country(domain: str) -> str | None:
 
 
 def geolocate(timelines, geo_db: GeoDb | None):
-    """Two country distributions: domain registration and IP geolocation.
+    """Two country distributions over an iterable of timelines: domain
+    registration and IP geolocation.
 
     Domain country comes from WHOIS, falling back to ccTLD inference;
     every IP ever resolved counts once per (domain, ip) pair. Unresolved
     locations land in "unknown", never dropped.
     """
-    if isinstance(timelines, dict):
-        timelines = list(timelines.values())
     domain_counts: dict[str, int] = {}
     ip_counts: dict[str, int] = {}
     for t in timelines:

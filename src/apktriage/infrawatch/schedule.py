@@ -37,47 +37,34 @@ def ticks(window: Window, cadence: timedelta):
 
 
 def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Prober,
-                 store: TimelineStore | None = None) -> None:
-    """Run one inspection; failures are recorded as gaps, never dropped."""
+                 store: TimelineStore) -> None:
+    """Run one inspection and append it to ``store``. A backend outage is
+    recorded as a gap, never dropped; a prober outage keeps the tick's
+    resolution."""
     try:
         ips = resolver.resolve(t.domain, ts)
+        resolution = Resolution(ts=ts, ips=ips)
+        t.add_resolution(resolution)
+        store.append_resolution(t.domain, resolution)
+        if not ips:
+            probe = Probe(ts=ts, alive=False, detail="nxdomain")
+        elif (status := prober.probe(t.domain, ts)) is None:
+            probe = Probe(ts=ts, alive=False, detail="unreachable")
+        else:
+            probe = Probe(ts=ts, alive=status < DEAD_STATUS, detail=f"{status // 100}xx")
     except BackendUnavailable as e:
         t.gaps.append((ts, str(e)))
-        if store:
-            store.append_gap(t.domain, ts, str(e))
+        store.append_gap(t.domain, ts, str(e))
         return
-    resolution = Resolution(ts=ts, ips=ips)
-    t.add_resolution(resolution)
-    if store:
-        store.append_resolution(t.domain, resolution)
-
-    if ips is None or not ips:
-        probe = Probe(ts=ts, alive=False, detail="nxdomain")
-    else:
-        try:
-            status = prober.probe(t.domain, ts)
-        except BackendUnavailable as e:
-            t.gaps.append((ts, str(e)))
-            if store:
-                store.append_gap(t.domain, ts, str(e))
-            return
-        if status is None:
-            probe = Probe(ts=ts, alive=False, detail="unreachable")
-        elif status < DEAD_STATUS:
-            probe = Probe(ts=ts, alive=True, detail=f"{status // 100}xx")
-        else:
-            probe = Probe(ts=ts, alive=False, detail=f"{status // 100}xx")
     t.add_probe(probe)
-    if store:
-        store.append_probe(t.domain, probe)
+    store.append_probe(t.domain, probe)
 
 
 def schedule(domains, window: Window, cadence: timedelta,
-             resolver: Resolver, prober: Prober,
-             whois: WhoisClient | None = None,
-             store: TimelineStore | None = None) -> dict[str, DomainTimeline]:
-    """Monitor every domain across the window. Resumes from persisted
-    timelines when a store is supplied: already-covered ticks are skipped.
+             resolver: Resolver, prober: Prober, whois: WhoisClient | None,
+             store: TimelineStore) -> dict[str, DomainTimeline]:
+    """Monitor every domain across the window, resuming from the timelines
+    persisted in ``store``: already-covered ticks are skipped.
     Ticks run as UTC whole seconds, the form the store keeps, so the
     returned timelines equal what the store loads back. A whois record is
     stamped with the domain's first pending tick (the window's last tick
@@ -86,8 +73,7 @@ def schedule(domains, window: Window, cadence: timedelta,
     first tick runs."""
     tick_list = [t.astimezone(timezone.utc).replace(microsecond=0)
                  for t in ticks(window, cadence)]
-    timelines = {d: store.load(d) if store else DomainTimeline(domain=d)
-                 for d in sorted(set(domains))}
+    timelines = {d: store.load(d) for d in sorted(set(domains))}
     try:
         for domain, t in timelines.items():
             last = t.last_tick()
@@ -96,12 +82,9 @@ def schedule(domains, window: Window, cadence: timedelta,
                 rec = whois.lookup(domain)
                 if rec is not None:
                     t.whois = rec
-                    if store:
-                        stamp = pending[0] if pending else tick_list[-1]
-                        store.set_whois(domain, stamp, rec)
+                    store.set_whois(domain, pending[0] if pending else tick_list[-1], rec)
             for tick in pending:
                 monitor_tick(t, tick, resolver, prober, store)
     finally:
-        if store:
-            store.close()
+        store.close()
     return timelines

@@ -189,7 +189,7 @@ def cmd_watch(args, cfg) -> int:
     records = [lifespan(t, mtimes.get(d, window.start))
                for d, t in sorted(timelines.items()) if t.probes]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
-    _classes, summary = classify_bindings(timelines)
+    _classes, summary = classify_bindings(timelines.values())
     _write(args.output + ".bindings.json", _json_string(summary))
     return EXIT_OK
 

@@ -19,7 +19,6 @@ from apktriage.assoc import (
     SampleFeatures,
     build_graph,
     features_from_json,
-    features_to_json,
     fired_rules,
     graph_to_json,
     group_stats,
@@ -441,14 +440,14 @@ class TestGroupStats:
             group_stats(g, {}, corpus_size=0)
 
 
-class TestFeaturesJson:
-    def test_round_trip(self):
-        s = make_sample("rt", dn=FULL_DN, fingerprint="fp1",
-                        domains={"x.com"}, urls={"http://x.com/a"},
-                        resolved_ips={"1.2.3.4"}, hashes=[12345],
-                        label={"top": "Sex"})
-        assert features_from_json(features_to_json(s)) == s
-
-    def test_round_trip_minimal(self):
-        s = make_sample("empty")
-        assert features_from_json(features_to_json(s)) == s
+def test_features_from_json_reads_every_field():
+    line = json.dumps({
+        "sample_id": "rt",
+        "signature": {"fingerprint": "fp1", "dn_fields": FULL_DN,
+                      "signature_class": CLASS_DEVELOPER},
+        "urls": ["http://x.com/a"], "ip_literals": [], "domains": ["x.com"],
+        "resolved_ips": ["1.2.3.4"], "fingerprints": [{"hash": "0000000000003039"}],
+        "label": {"top": "Sex"}})
+    assert features_from_json(line) == make_sample(
+        "rt", dn=FULL_DN, fingerprint="fp1", domains={"x.com"}, urls={"http://x.com/a"},
+        resolved_ips={"1.2.3.4"}, hashes=[12345], label={"top": "Sex"})

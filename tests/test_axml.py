@@ -7,7 +7,7 @@ from apktriage.apkcore.axml import parse_axml
 from apktriage.apkcore.errors import ManifestUndecodable
 from apktriage.apkcore.manifest import parse_manifest
 
-from axml_writer import ANDROID_NS, XmlNode, build_manifest, serialize
+from axml_writer import ANDROID_NS, XmlNode, build_manifest, manifest_tree, serialize
 
 GOLDEN = [
     dict(package="com.alpha.one",
@@ -122,3 +122,14 @@ def test_resource_map_recovers_blank_names():
     m = parse_manifest(data)
     assert "android.permission.X" in m.permissions
     assert m.main_activity == "r.map.M"
+
+
+@pytest.mark.parametrize("tree", [
+    manifest_tree("com.b", main_activity=5),
+    manifest_tree(5, main_activity=".Main"),
+    manifest_tree(0),  # falsy: the type is checked before the "" default
+    manifest_tree("com.b", permissions=[7]),
+], ids=["int_activity_name", "int_package", "zero_package", "int_permission"])
+def test_non_string_attribute_rejected(tree):
+    with pytest.raises(ManifestUndecodable):
+        parse_manifest(serialize(tree))

@@ -178,18 +178,20 @@ def test_scan_isolates_unreadable_apk(tmp_path):
 
 
 def test_scan_survives_hostile_manifest_header(tmp_path):
-    manifest = bytearray(build_manifest("com.b", main_activity=".Main"))
-    manifest[16:20] = (0x0FFFFFFF).to_bytes(4, "little")  # string-pool count
-    d = tmp_path / "apks"
-    d.mkdir()
-    (d / "a.apk").write_bytes(build_apk(package="com.a"))
-    (d / "b.apk").write_bytes(build_apk(manifest_bytes=bytes(manifest)))
-    (d / "c.apk").write_bytes(build_apk(package="com.c"))
-    out = tmp_path / "scan.jsonl"
-    assert main(["scan", str(d), "--output", str(out)]) == 0
-    recs = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["package"] for r in recs] == ["com.a", "", "com.c"]
-    assert [r["manifest_valid"] for r in recs] == [True, False, True]
+    pool_count = bytearray(build_manifest("com.b", main_activity=".Main"))
+    pool_count[16:20] = (0x0FFFFFFF).to_bytes(4, "little")  # string-pool count
+    int_activity_name = build_manifest("com.b", main_activity=5)
+    for n, manifest in enumerate([bytes(pool_count), int_activity_name]):
+        d = tmp_path / f"apks{n}"
+        d.mkdir()
+        (d / "a.apk").write_bytes(build_apk(package="com.a"))
+        (d / "b.apk").write_bytes(build_apk(manifest_bytes=manifest))
+        (d / "c.apk").write_bytes(build_apk(package="com.c"))
+        out = tmp_path / f"scan{n}.jsonl"
+        assert main(["scan", str(d), "--output", str(out)]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["package"] for r in recs] == ["com.a", "", "com.c"]
+        assert [r["manifest_valid"] for r in recs] == [True, False, True]
 
 
 def test_scan_loads_reference_data_once(tmp_path, monkeypatch):

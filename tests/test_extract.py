@@ -12,7 +12,6 @@ from apktriage.apkcore import ApkError, open_apk
 from apktriage.apkcore.certs import load_known_signatures
 from apktriage.extract import (
     ImageUndecodable,
-    UrlSet,
     classify_paradigm,
     extract_urls,
     filter_whitelist,
@@ -336,7 +335,3 @@ class TestSnapshot:
         assert snapshot_fingerprint(np.array(rows, dtype=float)).hash_bits == expected
         if levels is None:
             assert snapshot_fingerprint([bytes(r) for r in rows]).hash_bits == expected
-
-
-def test_urlset_empty():
-    assert UrlSet.empty().urls == frozenset()

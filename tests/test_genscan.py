@@ -1,4 +1,4 @@
-"""Generator fingerprinting, asset decryption and content-split tests."""
+"""Generator fingerprinting and asset decryption tests."""
 
 import json
 from dataclasses import replace
@@ -13,7 +13,6 @@ from apktriage.genscan import (
     decrypt_assets,
     detect_generator,
     load_fingerprints,
-    split_user_content,
 )
 from apktriage.genscan.ciphers import rc4
 from apktriage.genscan.content import looks_plaintext
@@ -105,14 +104,6 @@ class TestContent:
                 "assets/usercontent/page.html": b"<html>user</html>",
                 "lib/armeabi-v7a/libappcan.so": b"\x7fELF",
             }), KNOWN)
-
-    def test_split_user_content(self):
-        apk = self._appcan_apk()
-        match = detect_generator(apk, DB)
-        content = split_user_content(apk, match)
-        assert "assets/usercontent/page.html" in content.user_entries
-        assert all(p.startswith("assets/widgetone/")
-                   for p in content.template_entries)
 
     def test_decrypt_assets_with_explicit_key(self):
         key = b"appcan-demo-key!"

@@ -1,6 +1,9 @@
 """Monitoring, lifespan, binding, geolocation and registrant tests."""
 
+import socket
+import sys
 import tempfile
+import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,9 +18,12 @@ from apktriage.infrawatch import (
     KIND_FIXED,
     KIND_FLEXIBLE_I,
     KIND_FLEXIBLE_II,
+    BackendUnavailable,
+    DnsResolver,
     DomainTimeline,
     EmptyTimeline,
     GeoDb,
+    HttpProber,
     Probe,
     Resolution,
     ScriptedProber,
@@ -36,6 +42,7 @@ from apktriage.infrawatch import (
     schedule,
     ticks,
 )
+from apktriage.infrawatch.backends import PROBE_MAX_REDIRECTS, PROBE_TIMEOUT_S
 from apktriage.infrawatch.timeline import _parse_ts, _ts
 
 
@@ -228,40 +235,52 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Window(utc(2021, 1, 2), utc(2021, 1, 1))
 
-    def test_scripted_run(self):
+    def test_scripted_run(self, tmp_path):
         resolver = ScriptedResolver({"a.com": [["1.1.1.1"]]})
         prober = ScriptedProber({"a.com": [200, 200, 503]})
         w = Window(utc(2021, 1, 1), utc(2021, 1, 3))
-        out = schedule(["a.com"], w, timedelta(days=1), resolver, prober)
+        out = schedule(["a.com"], w, timedelta(days=1), resolver, prober, None,
+                       TimelineStore(tmp_path))
         t = out["a.com"]
         assert [p.alive for p in t.probes] == [True, True, False]
 
-    def test_nxdomain_is_dead_without_probe(self):
+    def test_nxdomain_is_dead_without_probe(self, tmp_path):
         resolver = ScriptedResolver({"a.com": [None]})
         prober = ScriptedProber({"a.com": [200]})
         w = Window(utc(2021, 1, 1), utc(2021, 1, 1, 1))
-        t = schedule(["a.com"], w, timedelta(days=1), resolver, prober)["a.com"]
+        t = schedule(["a.com"], w, timedelta(days=1), resolver, prober, None,
+                     TimelineStore(tmp_path))["a.com"]
         assert t.probes[0].alive is False
         assert t.probes[0].detail == "nxdomain"
 
-    def test_gap_recorded_on_outage(self):
-        resolver = ScriptedResolver({"a.com": ["gap", ["1.1.1.1"]]})
-        prober = ScriptedProber({"a.com": [200]})
-        w = Window(utc(2021, 1, 1), utc(2021, 1, 2))
-        t = schedule(["a.com"], w, timedelta(days=1), resolver, prober)["a.com"]
-        assert len(t.gaps) == 1
-        assert len(t.probes) == 1
+    def test_gap_recorded_on_outage(self, tmp_path):
+        cases = [
+            ("resolver", ["gap", ["1.1.1.1"]], [200], [2]),
+            # the outage tick keeps its resolution, but gets a gap and no probe
+            ("prober", [["1.1.1.1"]], ["gap", 200], [1, 2]),
+        ]
+        for backend, resolutions, probes, resolved_days in cases:
+            store = TimelineStore(tmp_path / backend)
+            w = Window(utc(2021, 1, 1), utc(2021, 1, 2))
+            t = schedule(["a.com"], w, timedelta(days=1),
+                         ScriptedResolver({"a.com": resolutions}),
+                         ScriptedProber({"a.com": probes}), None, store)["a.com"]
+            for got in (t, store.load("a.com")):
+                assert got.gaps == [(utc(2021, 1, 1), f"{backend} outage for a.com")]
+                assert [r.ts for r in got.resolutions] == \
+                    [utc(2021, 1, d) for d in resolved_days]
+                assert [(p.ts, p.alive) for p in got.probes] == [(utc(2021, 1, 2), True)]
 
     def test_resume_skips_covered_ticks(self, tmp_path):
         store = TimelineStore(tmp_path)
         resolver = ScriptedResolver({"a.com": [["1.1.1.1"]]})
         prober = ScriptedProber({"a.com": [200]})
         w1 = Window(utc(2021, 1, 1), utc(2021, 1, 3))
-        schedule(["a.com"], w1, timedelta(days=1), resolver, prober, store=store)
+        schedule(["a.com"], w1, timedelta(days=1), resolver, prober, None, store)
         w2 = Window(utc(2021, 1, 1), utc(2021, 1, 5))
         t = schedule(["a.com"], w2, timedelta(days=1),
                      ScriptedResolver({"a.com": [["1.1.1.1"]]}),
-                     ScriptedProber({"a.com": [200]}), store=store)["a.com"]
+                     ScriptedProber({"a.com": [200]}), None, store)["a.com"]
         assert len(t.probes) == 5  # 3 persisted + 2 new, no duplicates
 
     def test_whois_fetched_once(self, tmp_path):
@@ -279,7 +298,7 @@ class TestSchedule:
         args = (window, timedelta(days=1), ScriptedResolver({"a.com": [["1.1.1.1"]]}),
                 ScriptedProber({"a.com": [200]}))
         whois = ScriptedWhois({"a.com": WhoisRecord("r1", "China", "")})
-        schedule(["a.com"], *args, store=store)
+        schedule(["a.com"], *args, None, store)
         # a.com's ticks are all covered: its whois takes the window's last tick
         schedule(["a.com"], *args, whois, store)
         lines = (tmp_path / "a.com.jsonl").read_text().splitlines()
@@ -297,7 +316,7 @@ class TestSchedule:
         with pytest.raises(ValueError, match="x/y.com"):
             schedule(["a.com", "x/y.com"], Window(utc(2021, 1, 1), utc(2021, 1, 3)),
                      timedelta(days=1), ScriptedResolver({}), ScriptedProber({}),
-                     store=store)
+                     None, store)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -356,6 +375,103 @@ class TestScheduleDifferential:
             assert all(r.ts.tzinfo is timezone.utc and r.ts.microsecond == 0
                        for t in whole.values() for r in t.resolutions)
             assert _store_bytes(Path(split_dir)) == _store_bytes(Path(one_dir))
+
+
+def fake_requests(answers):
+    """A stand-in ``requests`` module. ``answers`` maps each URL to a status
+    code, or to "error" or "redirects" for the exception to raise; every
+    session and response it makes records whether it was closed."""
+    mod = types.ModuleType("requests")
+
+    class RequestException(Exception):
+        pass
+
+    class TooManyRedirects(RequestException):
+        pass
+
+    class Closable:
+        closed = False
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.closed = True
+
+    class Response(Closable):
+        def __init__(self, status_code):
+            self.status_code = status_code
+
+    class Session(Closable):
+        def __init__(self):
+            self.max_redirects = 30
+            self.calls = []
+            mod.sessions.append(self)
+
+        def get(self, url, **kwargs):
+            self.calls.append((url, kwargs))
+            answer = answers[url]
+            if answer == "error":
+                raise RequestException(url)
+            if answer == "redirects":
+                raise TooManyRedirects(url)
+            mod.responses.append(Response(answer))
+            return mod.responses[-1]
+
+    mod.RequestException, mod.TooManyRedirects, mod.Session = \
+        RequestException, TooManyRedirects, Session
+    mod.sessions, mod.responses = [], []
+    return mod
+
+
+class TestNetworkBackends:
+    def _probe(self, monkeypatch, answers):
+        mod = fake_requests(answers)
+        monkeypatch.setitem(sys.modules, "requests", mod)
+        status = HttpProber().probe("a.com", utc(2021, 1, 1))
+        [session] = mod.sessions
+        assert session.closed and session.max_redirects == PROBE_MAX_REDIRECTS
+        assert all(r.closed for r in mod.responses)
+        assert all(kwargs == {"timeout": PROBE_TIMEOUT_S, "stream": True, "verify": False}
+                   for _url, kwargs in session.calls)
+        return status, [url for url, _kwargs in session.calls]
+
+    def test_http_status_kept(self, monkeypatch):
+        assert self._probe(monkeypatch, {"http://a.com/": 503}) == \
+            (503, ["http://a.com/"])
+
+    def test_https_after_request_exception(self, monkeypatch):
+        answers = {"http://a.com/": "error", "https://a.com/": 200}
+        assert self._probe(monkeypatch, answers) == \
+            (200, ["http://a.com/", "https://a.com/"])
+        answers["https://a.com/"] = "error"
+        assert self._probe(monkeypatch, answers) == \
+            (None, ["http://a.com/", "https://a.com/"])
+
+    def test_too_many_redirects_is_none(self, monkeypatch):
+        assert self._probe(monkeypatch, {"http://a.com/": "redirects"}) == \
+            (None, ["http://a.com/"])
+
+    @staticmethod
+    def _resolve(monkeypatch, answer):
+        def getaddrinfo(host, port):
+            assert (host, port) == ("a.com", None)
+            if isinstance(answer, Exception):
+                raise answer
+            return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", (ip, 0)) for ip in answer]
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        return DnsResolver().resolve("a.com", utc(2021, 1, 1))
+
+    def test_dns_answer_is_ip_set(self, monkeypatch):
+        assert self._resolve(monkeypatch, ["1.2.3.4", "1.2.3.4", "5.6.7.8"]) == \
+            frozenset({"1.2.3.4", "5.6.7.8"})
+
+    def test_dns_noname_is_nxdomain(self, monkeypatch):
+        assert self._resolve(monkeypatch, socket.gaierror(socket.EAI_NONAME, "x")) is None
+
+    def test_dns_other_error_is_outage(self, monkeypatch):
+        with pytest.raises(BackendUnavailable):
+            self._resolve(monkeypatch, socket.gaierror(socket.EAI_AGAIN, "x"))
 
 
 class TestLifespan:
