@@ -7,7 +7,7 @@ from datetime import datetime
 from hashlib import sha256
 
 from apktriage.apkcore import zipread
-from apktriage.apkcore.certs import SIGNATURE_SUFFIXES, SignerIdentity, extract_signers
+from apktriage.apkcore.certs import SignerIdentity, extract_signers, is_signature_block
 from apktriage.apkcore.errors import ManifestUndecodable, NoManifest
 from apktriage.apkcore.manifest import ManifestInfo, parse_manifest
 
@@ -55,11 +55,8 @@ def open_apk(file_bytes: bytes, known_signatures: list[dict]) -> ApkArtifact:
         manifest = None
         valid = False
 
-    blocks = {
-        e.path: zipread.read_entry(file_bytes, e)
-        for e in entries
-        if e.path.startswith("META-INF/") and e.path.upper().endswith(SIGNATURE_SUFFIXES)
-    }
+    blocks = {e.path: zipread.read_entry(file_bytes, e)
+              for e in entries if is_signature_block(e.path)}
     signers = tuple(extract_signers(blocks, known_signatures))
 
     return ApkArtifact(

@@ -38,6 +38,11 @@ CLASS_DEBUG = "DebugDefault"
 CLASS_GENERATOR = "GeneratorDefault"
 
 
+def is_signature_block(path: str) -> bool:
+    """Whether an entry path names a v1 signature block."""
+    return path.startswith("META-INF/") and path.upper().endswith(SIGNATURE_SUFFIXES)
+
+
 @dataclass(frozen=True)
 class SignerIdentity:
     fingerprint: str
@@ -112,6 +117,6 @@ def extract_signers(entries: dict[str, bytes], known: list[dict]) -> list[Signer
     """
     signers = []
     for path in sorted(entries):
-        if path.startswith("META-INF/") and path.upper().endswith(SIGNATURE_SUFFIXES):
+        if is_signature_block(path):
             signers.append(signer_from_block(entries[path], known))
     return signers

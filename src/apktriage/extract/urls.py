@@ -20,6 +20,14 @@ _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
 _IPV4_RE = re.compile(r"(\d(?<![\d.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3})(?![\d.])")
 _IPV6_RE = re.compile(r"([0-9A-Fa-f](?<![0-9A-Fa-f:.][0-9A-Fa-f])[0-9A-Fa-f]{0,3}:"
                       r"(?:[0-9A-Fa-f]{1,4}:){1,6}[0-9A-Fa-f:.]+)")
+# Each pattern runs only on texts that hold its gate, a literal that every
+# match of the pattern contains: "://" for a URL; for an IPv4 address the
+# first dot, the second octet, the next dot and a digit; for an IPv6 address
+# the first colon, the first repeated group and that group's colon. A text
+# the gate skips has no match. The two IP gates open with a literal
+# character, which ``re`` scans for fast.
+_IPV4_GATE = re.compile(r"\.\d{1,3}\.\d")
+_IPV6_GATE = re.compile(r":[0-9A-Fa-f]{1,4}:")
 _TEXT_SUFFIXES = (".html", ".htm", ".js", ".json", ".xml", ".txt", ".css", ".properties", ".cfg")
 # Printable-ASCII runs of at least 6 bytes: mapping printable bytes
 # (0x20-0x7e) to "a" and all others to NUL turns the search for a run into
@@ -49,6 +57,8 @@ def normalize_url(raw: str) -> str | None:
         return None
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
+    if ":" in host:  # an IPv6 literal keeps its brackets
+        host = f"[{host}]"
     try:
         port = parts.port
     except ValueError:  # out of range or not a number, e.g. ":99999", ":8o80"
@@ -70,23 +80,26 @@ def _is_ip(host: str) -> bool:
 
 
 def _scan_text(text: str, urls: set[str], ips: set[str]) -> None:
-    for m in _URL_RE.finditer(text):
-        url = normalize_url(m.group(0))
-        if url:
-            urls.add(url)
-    for m in _IPV4_RE.finditer(text):
-        try:
-            ipaddress.IPv4Address(m.group(1))
-        except ValueError:
-            continue
-        ips.add(m.group(1))
-    for m in _IPV6_RE.finditer(text):
-        cand = m.group(1).rstrip(":.")
-        try:
-            ip = ipaddress.IPv6Address(cand)
-        except ValueError:
-            continue
-        ips.add(str(ip))
+    if "://" in text:
+        for m in _URL_RE.finditer(text):
+            url = normalize_url(m.group(0))
+            if url:
+                urls.add(url)
+    if _IPV4_GATE.search(text):
+        for m in _IPV4_RE.finditer(text):
+            try:
+                ipaddress.IPv4Address(m.group(1))
+            except ValueError:
+                continue
+            ips.add(m.group(1))
+    if _IPV6_GATE.search(text):
+        for m in _IPV6_RE.finditer(text):
+            cand = m.group(1).rstrip(":.")
+            try:
+                ip = ipaddress.IPv6Address(cand)
+            except ValueError:
+                continue
+            ips.add(str(ip))
 
 
 def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
@@ -164,12 +177,14 @@ def filter_whitelist(u: UrlSet, whitelist: frozenset[str], psl: SuffixList) -> U
     """Drop whitelisted registrable domains and their URLs. IP literals
     are never whitelisted. Idempotent."""
     kept_urls = set()
+    domains = set()
     for url in u.urls:
         host = _host_of(url)
         if _is_ip(host):
             kept_urls.add(url)
-        elif psl.registrable(host) not in whitelist:
+            continue
+        domain = psl.registrable(host)
+        if domain not in whitelist:
             kept_urls.add(url)
-    domains = {psl.registrable(_host_of(url)) for url in kept_urls
-               if not _is_ip(_host_of(url))}
+            domains.add(domain)
     return UrlSet(frozenset(kept_urls), u.ip_literals, frozenset(domains))

@@ -60,6 +60,9 @@ class TestNormalize:
         ("http://example.com/a#frag", "http://example.com/a"),
         ("http://example.com/a?q=1", "http://example.com/a?q=1"),
         ("http://example.com/x),", "http://example.com/x"),
+        ("http://[2001:db8::1]:8080/x", "http://[2001:db8::1]:8080/x"),
+        ("http://[::1]:80/", "http://[::1]/"),
+        ("HTTPS://[FE80::A]:443/p", "https://[fe80::a]/p"),
     ])
     def test_normalization(self, raw, expected):
         assert normalize_url(raw) == expected
@@ -92,6 +95,13 @@ class TestUrlExtraction:
         assert "https://c2.badhost.net/api" in u.urls
         assert "http://plain.example/x" in u.urls
         assert "badhost.net" in u.domains
+
+    def test_ipv6_literal_host_is_an_ip(self):
+        u = urlset_from_strings(["see http://[2001:db8::1]:8080/x and http://[::1]:80/"],
+                                PSL)
+        assert u.urls == {"http://[2001:db8::1]:8080/x", "http://[::1]/"}
+        assert u.ip_literals == {"2001:db8::1", "::1"}
+        assert u.domains == frozenset()
 
     def test_invalid_ipv4_rejected(self):
         u = urlset_from_strings(["addr 999.1.2.3 nope"], PSL)
@@ -148,6 +158,9 @@ def _check_apk(files: dict[str, bytes]) -> None:
 def _check_patterns(text: str) -> None:
     assert _IPV4_RE.findall(text) == url_oracle.IPV4_RE.findall(text)
     assert _IPV6_RE.findall(text) == url_oracle.IPV6_RE.findall(text)
+    # the gated scan of the whole text, against the ungated reference
+    u = urlset_from_strings([text], PSL)
+    assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_urlset([text], PSL)
 
 
 class TestOracle:
@@ -172,6 +185,11 @@ class TestOracle:
         "1.2.3.4", "11.2.3.4", ".1.2.3.4", "1.2.3.4.", "1.2.3.45678", "1234.1.2.3",
         "\u06611.2.3.4", "1.2.3.4\u0661", "a:b::1", "x:a:b::1", ".a:b::1", ":a:b::1",
         "abcde:1:2", "1:2:3:4:5:6:7:8:9", "fe80::1:", "::1", "ABCD:ef01::",
+        # gate edges: the shortest IPv4 match ("1.2.3.4" above) and a longer
+        # third octet, one-digit IPv6 groups, and URLs whose only "://" closes
+        # the text or whose scheme is not lower case
+        "1.2.34.5", "1:2::3", "1.2.3", "a:b:c",
+        "see hTTp://a.b", "HTTPS://H.Example:443/p", "x https://",
     ])
     def test_ip_pattern_edges_match_oracle(self, text):
         _check_patterns(text)

@@ -4,8 +4,10 @@ must agree with.
 Every printable-ASCII run of a non-text entry is scanned on its own, with
 IP patterns that open with a lookbehind. Entries are read with the stdlib
 ``zipfile`` module; nothing is imported from ``apktriage.extract``. The
-only change from the original scanner is that ``normalize_url`` drops a
-URL whose port is out of range or not a number.
+changes from the original scanner are both in ``normalize_url``: it drops a
+URL whose port is out of range or not a number, and it keeps the brackets
+of an IPv6-literal host, so that host stays an IP literal and never reads
+as a domain.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ def normalize_url(raw: str) -> str | None:
         return None
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
+    if ":" in host:
+        host = f"[{host}]"
     try:
         port = parts.port
     except ValueError:
@@ -81,6 +85,11 @@ def oracle_extract(apk_bytes: bytes, psl) -> tuple[frozenset, frozenset, frozens
                 strings.append(data.decode("utf-8", "replace"))
             else:
                 strings.extend(m.group(0).decode("ascii") for m in STRINGS_RE.finditer(data))
+    return oracle_urlset(strings, psl)
+
+
+def oracle_urlset(strings, psl) -> tuple[frozenset, frozenset, frozenset]:
+    """(urls, ip_literals, registrable domains) found in ``strings``."""
     urls: set[str] = set()
     ips: set[str] = set()
     for s in strings:
