@@ -55,9 +55,9 @@ class SignerIdentity:
         return present / len(DN_FIELDS)
 
 
-def load_known_signatures(path=None) -> list[dict]:
-    text = read_data_text(path, "known_signatures.json")
-    return json.loads(text)
+def load_known_signatures() -> list[dict]:
+    """The shipped list of known default/debug/generator signatures."""
+    return json.loads(read_data_text(None, "known_signatures.json"))
 
 
 def _dn_fields(name: x509.Name) -> dict[str, str]:

@@ -11,7 +11,6 @@ from apktriage.assoc.graph import (
     seed_neighborhood,
 )
 from apktriage.assoc.rules import (
-    AssocConfig,
     assoc_signature,
     assoc_snapshot,
     fired_rules,
@@ -23,7 +22,7 @@ from apktriage.assoc.stats import GroupRow, group_stats, group_table
 __all__ = [
     "SampleFeatures", "features_from_json", "read_features_jsonl",
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
-    "seed_neighborhood", "AssocConfig", "assoc_signature", "assoc_snapshot",
+    "seed_neighborhood", "assoc_signature", "assoc_snapshot",
     "fired_rules", "overlap", "shared_ip",
     "GroupRow", "group_stats", "group_table",
 ]

@@ -7,16 +7,16 @@ loses no edge:
 
 - Signature: equal developer fingerprints, or at least ``k`` equal
   non-blank DN fields, which means a shared ``k``-subset of
-  ``(field, stripped value)`` pairs (``k = min_signature_field_matches``).
+  ``(field, stripped value)`` pairs (``k = MIN_SIGNATURE_FIELD_MATCHES``).
 - Url: an overlap above 0 needs a shared registrable domain.
 - SharedIp: a shared resolved IP.
 - Snapshot: a pair within Hamming distance ``d`` agrees exactly on at
-  least one of ``d + 1`` blocks of the 64-bit dHash (pigeonhole).
+  least one of ``d + 1`` blocks of the 64-bit dHash (pigeonhole;
+  ``d = SNAPSHOT_MAX_BITS``).
 
 Groups are the connected components of the edge set, so the output is
-independent of input ordering. ``i_max = 0`` disables association (no
-edges, every sample its own group); ``seed_neighborhood`` gives the
-samples within ``i_max`` hops of one seed.
+independent of input ordering. ``seed_neighborhood`` gives the samples
+within ``i_max`` hops of one seed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
-from apktriage.assoc.rules import AssocConfig, fired_rules
+from apktriage.assoc.rules import (MIN_SIGNATURE_FIELD_MATCHES, SNAPSHOT_MAX_BITS,
+                                   fired_rules)
 
 
 class DuplicateSampleId(ValueError):
@@ -71,15 +72,16 @@ def _components(nodes, adj) -> tuple[tuple[str, ...], ...]:
     return tuple(comps)
 
 
-def _snapshot_blocks(threshold: float) -> list[tuple[int, int]]:
-    """(shift, mask) of the d + 1 blocks, d the largest Hamming distance
-    the snapshot rule accepts (the same float test as ``similarity``)."""
-    d = max(k for k in range(65) if 1.0 - k / 64.0 >= threshold)
+def _snapshot_blocks(d: int) -> list[tuple[int, int]]:
+    """(shift, mask) of the d + 1 near-equal blocks of a 64-bit hash."""
     bounds = [64 * i // (d + 1) for i in range(d + 2)]
     return [(lo, (1 << (hi - lo)) - 1) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _blocking_keys(s: SampleFeatures, cfg: AssocConfig, blocks) -> set:
+_SNAPSHOT_BLOCKS = _snapshot_blocks(SNAPSHOT_MAX_BITS)
+
+
+def _blocking_keys(s: SampleFeatures) -> set:
     """One key per way a rule could fire for s (see the module docstring)."""
     keys = set()
     sig = s.developer_signature
@@ -87,22 +89,20 @@ def _blocking_keys(s: SampleFeatures, cfg: AssocConfig, blocks) -> set:
         keys.add(("fp", sig.fingerprint))
         dn = [(f, v) for f in DN_FIELDS if (v := sig.dn_fields.get(f, "").strip())]
         keys.update(("dn", c)
-                    for c in combinations(dn, cfg.min_signature_field_matches))
+                    for c in combinations(dn, MIN_SIGNATURE_FIELD_MATCHES))
     keys.update(("dom", d) for d in s.url_set.domains)
     keys.update(("ip", ip) for ip in s.resolved_ips)
     keys.update(("snap", i, (v.hash_bits >> lo) & mask)
-                for v in s.fingerprints for i, (lo, mask) in enumerate(blocks))
+                for v in s.fingerprints for i, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS))
     return keys
 
 
-def _candidate_pairs(ordered: list[SampleFeatures],
-                     cfg: AssocConfig) -> Iterator[tuple[int, int]]:
+def _candidate_pairs(ordered: list[SampleFeatures]) -> Iterator[tuple[int, int]]:
     """Yield index pairs (i, j), i < j, of samples sharing a blocking key."""
-    blocks = _snapshot_blocks(cfg.snapshot_threshold)
     postings: dict[tuple, list[int]] = defaultdict(list)
     for j, s in enumerate(ordered):
         earlier: set[int] = set()
-        for key in _blocking_keys(s, cfg, blocks):
+        for key in _blocking_keys(s):
             posting = postings[key]
             earlier.update(posting)
             posting.append(j)
@@ -110,7 +110,7 @@ def _candidate_pairs(ordered: list[SampleFeatures],
             yield i, j
 
 
-def build_graph(samples: list[SampleFeatures], cfg: AssocConfig) -> AssociationGraph:
+def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
     dupes = sorted(i for i, n in Counter(s.sample_id for s in samples).items() if n > 1)
     if dupes:
         raise DuplicateSampleId("duplicate sample ids: " + ", ".join(dupes))
@@ -119,14 +119,13 @@ def build_graph(samples: list[SampleFeatures], cfg: AssocConfig) -> AssociationG
     nodes = tuple(s.sample_id for s in ordered)
     edges = []
     adj: dict[str, set[str]] = {n: set() for n in nodes}
-    if cfg.i_max >= 1:
-        fired = sorted((i, j, rules) for i, j in _candidate_pairs(ordered, cfg)
-                       if (rules := fired_rules(ordered[i], ordered[j], cfg)))
-        for i, j, rules in fired:
-            a, b = nodes[i], nodes[j]
-            edges.append((a, b, rules))
-            adj[a].add(b)
-            adj[b].add(a)
+    fired = sorted((i, j, rules) for i, j in _candidate_pairs(ordered)
+                   if (rules := fired_rules(ordered[i], ordered[j])))
+    for i, j, rules in fired:
+        a, b = nodes[i], nodes[j]
+        edges.append((a, b, rules))
+        adj[a].add(b)
+        adj[b].add(a)
     return AssociationGraph(nodes=nodes, edges=tuple(edges),
                             groups=_components(nodes, adj))
 

@@ -3,37 +3,23 @@ snapshot.
 
 All four are symmetric; blank signature fields never count as matches
 and default/debug signatures are excluded from signature association.
+The rules run at one operating point, set by the constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
-from apktriage.extract.snapshot import similarity
 
 RULE_SIGNATURE = "Signature"
 RULE_URL = "Url"
 RULE_SHARED_IP = "SharedIp"
 RULE_SNAPSHOT = "Snapshot"
 
-
-@dataclass(frozen=True)
-class AssocConfig:
-    i_max: int = 2
-    url_overlap_threshold: float = 0.7
-    snapshot_threshold: float = 0.9
-    min_signature_field_matches: int = 3
-
-    def __post_init__(self):
-        if self.i_max < 0:
-            raise ValueError("i_max must be >= 0")
-        for t in (self.url_overlap_threshold, self.snapshot_threshold):
-            if not 0 < t <= 1:
-                raise ValueError("thresholds must be in (0, 1]")
-        if self.min_signature_field_matches < 1:
-            raise ValueError("min_signature_field_matches must be positive")
+URL_OVERLAP_THRESHOLD = 0.7
+MIN_SIGNATURE_FIELD_MATCHES = 3
+# snapshot similarity >= 0.9, i.e. at most 6 of the 64 dHash bits differ
+SNAPSHOT_MAX_BITS = 6
 
 
 def overlap(a: frozenset, b: frozenset) -> float:
@@ -43,7 +29,7 @@ def overlap(a: frozenset, b: frozenset) -> float:
     return len(a & b) / min(len(a), len(b))
 
 
-def assoc_signature(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> bool:
+def assoc_signature(a: SampleFeatures, b: SampleFeatures) -> bool:
     sa, sb = a.developer_signature, b.developer_signature
     if sa is None or sb is None:
         return False
@@ -54,29 +40,27 @@ def assoc_signature(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> b
         if sa.dn_fields.get(f, "").strip()
         and sa.dn_fields.get(f, "").strip() == sb.dn_fields.get(f, "").strip()
     )
-    return matches >= cfg.min_signature_field_matches
+    return matches >= MIN_SIGNATURE_FIELD_MATCHES
 
 
 def shared_ip(a: SampleFeatures, b: SampleFeatures) -> bool:
     return bool(a.resolved_ips & b.resolved_ips)
 
 
-def assoc_snapshot(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> bool:
-    if not a.fingerprints or not b.fingerprints:
-        return False
-    best = max(similarity(fa, fb) for fa in a.fingerprints for fb in b.fingerprints)
-    return best >= cfg.snapshot_threshold
+def assoc_snapshot(a: SampleFeatures, b: SampleFeatures) -> bool:
+    return any((fa.hash_bits ^ fb.hash_bits).bit_count() <= SNAPSHOT_MAX_BITS
+               for fa in a.fingerprints for fb in b.fingerprints)
 
 
-def fired_rules(a: SampleFeatures, b: SampleFeatures, cfg: AssocConfig) -> tuple[str, ...]:
+def fired_rules(a: SampleFeatures, b: SampleFeatures) -> tuple[str, ...]:
     """Every rule that fires for the pair, in canonical order."""
     rules = []
-    if assoc_signature(a, b, cfg):
+    if assoc_signature(a, b):
         rules.append(RULE_SIGNATURE)
-    if overlap(a.url_set.domains, b.url_set.domains) >= cfg.url_overlap_threshold:
+    if overlap(a.url_set.domains, b.url_set.domains) >= URL_OVERLAP_THRESHOLD:
         rules.append(RULE_URL)
     if shared_ip(a, b):
         rules.append(RULE_SHARED_IP)
-    if assoc_snapshot(a, b, cfg):
+    if assoc_snapshot(a, b):
         rules.append(RULE_SNAPSHOT)
     return tuple(rules)

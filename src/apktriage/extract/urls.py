@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
+from apktriage.apkcore import zipread
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList
@@ -57,8 +58,11 @@ def normalize_url(raw: str) -> str | None:
         return None
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
-    if ":" in host:  # an IPv6 literal keeps its brackets
-        host = f"[{host}]"
+    if ":" in host:  # a bracketed host: an IPv6 literal, compressed, in brackets
+        try:
+            host = f"[{ipaddress.IPv6Address(host)}]"
+        except ValueError:  # IPvFuture or malformed
+            return None
     try:
         port = parts.port
     except ValueError:  # out of range or not a number, e.g. ":99999", ":8o80"
@@ -142,7 +146,7 @@ def extract_urls(apk: ApkArtifact, psl: SuffixList,
         data = decrypted.get(entry.path)
         if data is None:
             try:
-                data = apk.read(entry.path)
+                data = zipread.read_entry(apk.raw, entry)
             except ApkError:
                 continue
         if entry.path.lower().endswith(_TEXT_SUFFIXES):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from apktriage.apkcore import zipread
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.genscan import ciphers
 from apktriage.genscan.ciphers import CipherError, KeyUnavailable
@@ -64,7 +65,7 @@ def decrypt_assets(apk: ApkArtifact, match: GeneratorMatch) -> DecryptedAssets:
     for entry in apk.entries:
         if not any(entry.path.startswith(p) for p in fp.protected_paths):
             continue
-        data = apk.read(entry.path)
+        data = zipread.read_entry(apk.raw, entry)
         try:
             plain = ciphers.decrypt(fp.cipher.algo, data, key)
         except CipherError:

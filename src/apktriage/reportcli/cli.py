@@ -1,8 +1,7 @@
 """Command-line surface tying the toolkit together.
 
-Verbs: scan, assoc, watch, payclass, report. A single JSON config file
-supplies defaults; command-line flags override individual values.
-Exit codes: 0 success, 1 input error, 2 internal error.
+Verbs: scan, assoc, watch, payclass, report. Each setting is a flag.
+Exit codes: 0 success, 1 input or usage error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -18,23 +17,6 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    return cfg
-
-
-def _setting(args, cfg: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
-
-
 def _iter_apks(path: str):
     if os.path.isdir(path):
         for root, _dirs, files in os.walk(path):
@@ -45,7 +27,7 @@ def _iter_apks(path: str):
         yield path
 
 
-def cmd_scan(args, cfg) -> int:
+def cmd_scan(args) -> int:
     from apktriage.apkcore import (ApkError, load_dangerous_db, open_apk,
                                    permission_profile)
     from apktriage.apkcore.certs import load_known_signatures
@@ -55,11 +37,10 @@ def cmd_scan(args, cfg) -> int:
     from apktriage.genscan import (KeyUnavailable, decrypt_assets,
                                    detect_generator, load_fingerprints)
 
-    fingerprints = load_fingerprints(_setting(args, cfg, "fingerprint_db"))
-    dangerous = load_dangerous_db(_setting(args, cfg, "dangerous_permission_file"))
-    suffixes = load_suffix_list(_setting(args, cfg, "suffix_list"))
-    wl_path = _setting(args, cfg, "whitelist")
-    whitelist = load_whitelist(wl_path) if wl_path else frozenset()
+    fingerprints = load_fingerprints(args.fingerprint_db)
+    dangerous = load_dangerous_db(args.dangerous_permission_file)
+    suffixes = load_suffix_list(args.suffix_list)
+    whitelist = load_whitelist(args.whitelist) if args.whitelist else frozenset()
     known_signatures = load_known_signatures()
 
     if args.output:
@@ -124,29 +105,21 @@ def cmd_scan(args, cfg) -> int:
     return EXIT_INPUT if failed else EXIT_OK
 
 
-def cmd_assoc(args, cfg) -> int:
-    from apktriage.assoc import (AssocConfig, build_graph, graph_to_json,
-                                 group_stats, group_table, read_features_jsonl)
+def cmd_assoc(args) -> int:
+    from apktriage.assoc import (build_graph, graph_to_json, group_stats,
+                                 group_table, read_features_jsonl)
     from apktriage.reportcli.emit import _write, emit_report
 
-    config = AssocConfig(
-        i_max=int(_setting(args, cfg, "i_max", 2)),
-        url_overlap_threshold=float(
-            _setting(args, cfg, "url_overlap_threshold", 0.7)),
-        snapshot_threshold=float(_setting(args, cfg, "snapshot_threshold", 0.9)),
-        min_signature_field_matches=int(
-            _setting(args, cfg, "min_signature_field_matches", 3)),
-    )
     features = read_features_jsonl(args.features)
-    graph = build_graph(features, config)
+    graph = build_graph(features)
     _write(args.output + ".graph.json", graph_to_json(graph))
-    corpus_size = int(_setting(args, cfg, "corpus_size", 0)) or len(features)
+    corpus_size = args.corpus_size or len(features)
     labels = {s.sample_id: s.label for s in features if s.label}
     emit_report(args.output, *group_table(group_stats(graph, labels, corpus_size)))
     return EXIT_OK
 
 
-def cmd_watch(args, cfg) -> int:
+def cmd_watch(args) -> int:
     from apktriage.infrawatch import (DnsResolver, HttpProber, ScriptedProber,
                                       ScriptedResolver, ScriptedWhois,
                                       TimelineStore, WhoisRecord, Window,
@@ -154,18 +127,14 @@ def cmd_watch(args, cfg) -> int:
                                       lifespan_table, schedule)
     from apktriage.reportcli.emit import _json_string, _write, emit_report
 
-    window = Window(
-        start=_parse_ts(_setting(args, cfg, "window_start")),
-        end=_parse_ts(_setting(args, cfg, "window_end")),
-    )
-    cadence = timedelta(days=int(_setting(args, cfg, "cadence_days", 1)))
+    window = Window(start=_parse_ts(args.window_start), end=_parse_ts(args.window_end))
+    cadence = timedelta(days=args.cadence_days)
     store = TimelineStore(args.store)
     with open(args.domains, encoding="utf-8") as f:
         domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
 
-    script_path = _setting(args, cfg, "script")
-    if script_path:
-        with open(script_path, encoding="utf-8") as f:
+    if args.script:
+        with open(args.script, encoding="utf-8") as f:
             script = json.load(f)
         resolver = ScriptedResolver(script.get("resolutions", {}))
         prober = ScriptedProber(script.get("probes", {}))
@@ -182,9 +151,8 @@ def cmd_watch(args, cfg) -> int:
     timelines = {d: watched[d] if d in watched else store.load(d)
                  for d in store.domains()}
     mtimes = {}
-    mtime_path = _setting(args, cfg, "manifest_mtimes")
-    if mtime_path:
-        with open(mtime_path, encoding="utf-8") as f:
+    if args.manifest_mtimes:
+        with open(args.manifest_mtimes, encoding="utf-8") as f:
             mtimes = {k: _parse_ts(v) for k, v in json.load(f).items()}
     records = [lifespan(t, mtimes.get(d, window.start))
                for d, t in sorted(timelines.items()) if t.probes]
@@ -194,12 +162,12 @@ def cmd_watch(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_payclass(args, cfg) -> int:
+def cmd_payclass(args) -> int:
     from apktriage.payclass import (channel_breakdown, classify_session,
                                     load_licensed_db, read_observations_jsonl)
     from apktriage.reportcli.emit import _json_string, _write
 
-    licensed = load_licensed_db(_setting(args, cfg, "licensed_db"))
+    licensed = load_licensed_db(args.licensed_db)
     sessions = read_observations_jsonl(args.observations)
     classifications = [classify_session(obs, licensed)
                        for _sid, obs in sorted(sessions.items())]
@@ -220,7 +188,7 @@ def cmd_payclass(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args) -> int:
     from apktriage.reportcli.aggregate import corpus_report, corpus_table
     from apktriage.reportcli.emit import emit_report
     from apktriage.reportcli.taxonomy import read_labels_jsonl, validate_label
@@ -237,8 +205,6 @@ def cmd_report(args, cfg) -> int:
 
 
 def _parse_ts(value) -> datetime:
-    if value is None:
-        raise ValueError("missing timestamp (window start/end required)")
     ts = datetime.fromisoformat(str(value))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -250,45 +216,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="apktriage",
         description="Static analysis and infrastructure monitoring for "
                     "profit-motivated fraud Android apps.")
-    parser.add_argument("--config", help="JSON config file with defaults")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("scan", help="parse APKs, detect generators, extract URLs")
     p.add_argument("input", help="APK file or directory")
     p.add_argument("--output", help="JSONL output (default stdout)")
-    p.add_argument("--fingerprint-db", dest="fingerprint_db")
+    p.add_argument("--fingerprint-db")
     p.add_argument("--whitelist")
-    p.add_argument("--suffix-list", dest="suffix_list")
-    p.add_argument("--dangerous-permission-file", dest="dangerous_permission_file")
+    p.add_argument("--suffix-list")
+    p.add_argument("--dangerous-permission-file")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("assoc", help="build the developer-association graph")
     p.add_argument("features", help="features JSONL from prior analysis")
     p.add_argument("--output", required=True, help="output base path")
-    p.add_argument("--i-max", dest="i_max", type=int)
-    p.add_argument("--url-overlap-threshold", dest="url_overlap_threshold",
-                   type=float)
-    p.add_argument("--snapshot-threshold", dest="snapshot_threshold", type=float)
-    p.add_argument("--min-signature-field-matches",
-                   dest="min_signature_field_matches", type=int)
-    p.add_argument("--corpus-size", dest="corpus_size", type=int)
+    p.add_argument("--corpus-size", type=int,
+                   help="group-table denominator (default: number of samples)")
     p.set_defaults(func=cmd_assoc)
 
     p = sub.add_parser("watch", help="run or resume remote-server monitoring")
     p.add_argument("domains", help="file with one domain per line")
     p.add_argument("--store", required=True, help="timeline store directory")
     p.add_argument("--output", required=True, help="output base path")
-    p.add_argument("--window-start", dest="window_start")
-    p.add_argument("--window-end", dest="window_end")
-    p.add_argument("--cadence-days", dest="cadence_days", type=int)
+    p.add_argument("--window-start", required=True)
+    p.add_argument("--window-end", required=True)
+    p.add_argument("--cadence-days", type=int, default=1)
     p.add_argument("--script", help="scripted backend JSON (offline runs)")
-    p.add_argument("--manifest-mtimes", dest="manifest_mtimes",
-                   help="JSON map domain -> packing timestamp")
+    p.add_argument("--manifest-mtimes", help="JSON map domain -> packing timestamp")
     p.set_defaults(func=cmd_watch)
 
     p = sub.add_parser("payclass", help="classify payment sessions")
     p.add_argument("observations", help="payment observations JSONL")
-    p.add_argument("--licensed-db", dest="licensed_db")
+    p.add_argument("--licensed-db")
     p.add_argument("--output")
     p.set_defaults(func=cmd_payclass)
 
@@ -301,11 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from apktriage.assoc import AssocConfig, build_graph, group_stats
+from apktriage.assoc import build_graph, group_stats
 from apktriage.genscan import ciphers
 from apktriage.infrawatch import (
     END_DEAD_BEFORE_FIRST,
@@ -112,10 +112,9 @@ def test_criterion_3_algorithm1_oracle_equivalence():
     for _ in range(200):
         n = rng.randint(2, 12)
         samples, names, true_edges = random_corpus(rng, n)
-        g_full = build_graph(samples, AssocConfig(i_max=n))
-        assert g_full.groups == brute_components(names, true_edges)
+        g = build_graph(samples)
+        assert g.groups == brute_components(names, true_edges)
         for i_max in (1, 2):
-            g = build_graph(samples, AssocConfig(i_max=i_max))
             assert {(a, b) for a, b, _ in g.edges} == \
                 bfs_oracle_edges(names, true_edges, i_max)
     elapsed = time.perf_counter() - t0
@@ -134,7 +133,7 @@ def test_criterion_4_group_table_rank1():
             samples.append(make_sample(f"g{i:03d}", fingerprint="dev-1",
                                        label={"top": top}))
             i += 1
-    g = build_graph(samples, AssocConfig())
+    g = build_graph(samples)
     rows = group_stats(g, {s.sample_id: s.label for s in samples},
                        corpus_size=843)
     row = rows[0]

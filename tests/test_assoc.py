@@ -1,7 +1,6 @@
 """Association rules, blocked graph construction and group statistics."""
 
 import json
-import math
 import random
 from itertools import combinations
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from apktriage.apkcore.certs import (CLASS_DEBUG, CLASS_DEVELOPER,
                                      CLASS_GENERATOR, DN_FIELDS, SignerIdentity)
 from apktriage.assoc import (
-    AssocConfig,
     AssociationGraph,
     DuplicateSampleId,
     GroupRow,
@@ -25,10 +23,9 @@ from apktriage.assoc import (
     overlap,
     seed_neighborhood,
 )
-from apktriage.extract.snapshot import VisualFingerprint
+from apktriage.assoc.rules import SNAPSHOT_MAX_BITS
+from apktriage.extract.snapshot import VisualFingerprint, similarity
 from apktriage.extract.urls import UrlSet
-
-CFG = AssocConfig()
 
 
 def make_sample(sid, dn=None, fingerprint=None, domains=(), urls=(),
@@ -56,70 +53,65 @@ class TestRules:
     def test_signature_fingerprint_equality(self):
         a = make_sample("a", fingerprint="same")
         b = make_sample("b", fingerprint="same")
-        assert "Signature" in fired_rules(a, b, CFG)
+        assert "Signature" in fired_rules(a, b)
 
     def test_signature_dn_fields(self):
         a = make_sample("a", dn=FULL_DN)
         b = make_sample("b", dn=dict(FULL_DN, commonName="Z"))
-        # 3 equal non-blank fields >= min_signature_field_matches
-        assert "Signature" in fired_rules(a, b, CFG)
+        # 3 equal non-blank fields >= MIN_SIGNATURE_FIELD_MATCHES
+        assert "Signature" in fired_rules(a, b)
         c = make_sample("c", dn={"commonName": "A", "organization": "B"})
-        assert "Signature" not in fired_rules(a, c, CFG)
+        assert "Signature" not in fired_rules(a, c)
 
     def test_blank_fields_never_match(self):
         blank = {"commonName": "", "organization": " ", "locality": "",
                  "country": ""}
         a = make_sample("a", dn=blank)
         b = make_sample("b", dn=blank)
-        assert "Signature" not in fired_rules(a, b, CFG)
+        assert "Signature" not in fired_rules(a, b)
 
     def test_debug_signature_excluded(self):
         a = make_sample("a", dn=FULL_DN, fingerprint="same",
                         sig_class=CLASS_DEBUG)
         b = make_sample("b", dn=FULL_DN, fingerprint="same",
                         sig_class=CLASS_DEBUG)
-        assert "Signature" not in fired_rules(a, b, CFG)
+        assert "Signature" not in fired_rules(a, b)
 
     def test_url_overlap_coefficient(self):
         a = make_sample("a", domains={"x.com", "y.com", "z.com"})
         b = make_sample("b", domains={"x.com", "y.com", "w.com", "v.com"})
         # |inter| / min = 2/3 < 0.7
-        assert "Url" not in fired_rules(a, b, CFG)
+        assert "Url" not in fired_rules(a, b)
         c = make_sample("c", domains={"x.com", "y.com", "z.com", "q.com"})
         # 3/3 = 1.0 >= 0.7
-        assert "Url" in fired_rules(a, c, CFG)
+        assert "Url" in fired_rules(a, c)
 
     def test_shared_ip(self):
         a = make_sample("a", resolved_ips={"47.74.14.254"})
         b = make_sample("b", resolved_ips={"47.74.14.254", "1.2.3.4"})
-        assert "SharedIp" in fired_rules(a, b, CFG)
+        assert "SharedIp" in fired_rules(a, b)
 
     def test_snapshot_threshold(self):
         a = make_sample("a", hashes=[0])
         b = make_sample("b", hashes=[0b111])  # 3 differing bits: sim 61/64
-        assert "Snapshot" in fired_rules(a, b, CFG)
+        assert "Snapshot" in fired_rules(a, b)
         c = make_sample("c", hashes=[(1 << 20) - 1])  # 20 bits differ
-        assert "Snapshot" not in fired_rules(a, c, CFG)
+        assert "Snapshot" not in fired_rules(a, c)
+        # the best-matching pair of fingerprints decides
+        d = make_sample("d", hashes=[(1 << 20) - 1, 0b11])
+        assert "Snapshot" in fired_rules(c, d) and "Snapshot" in fired_rules(a, d)
 
     def test_rules_symmetric(self):
         a = make_sample("a", dn=FULL_DN, domains={"x.com"},
                         resolved_ips={"1.1.1.1"}, hashes=[5])
         b = make_sample("b", dn=FULL_DN, domains={"x.com"},
                         resolved_ips={"1.1.1.1"}, hashes=[5])
-        assert fired_rules(a, b, CFG) == fired_rules(b, a, CFG)
+        assert fired_rules(a, b) == fired_rules(b, a)
 
     def test_overlap_metric(self):
         a, b = frozenset("abc"), frozenset("abcd")
         assert overlap(a, b) == 1.0
         assert overlap(frozenset(), b) == 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AssocConfig(i_max=-1)
-        with pytest.raises(ValueError):
-            AssocConfig(url_overlap_threshold=0.0)
-        with pytest.raises(ValueError):
-            AssocConfig(min_signature_field_matches=0)
 
 
 class TestGraph:
@@ -132,37 +124,32 @@ class TestGraph:
         return [a, b, c, d]
 
     def test_chain_components(self):
-        g = build_graph(self._chain(), AssocConfig(i_max=1))
+        g = build_graph(self._chain())
         assert ("A", "B", ("Signature",)) in g.edges
         assert ("B", "C", ("SharedIp",)) in g.edges
         assert g.groups[0] == ("A", "B", "C")
         assert ("D",) in g.groups
 
-    def test_i_max_zero_emits_nothing(self):
-        g = build_graph(self._chain(), AssocConfig(i_max=0))
-        assert g.edges == ()
-        assert all(len(c) == 1 for c in g.groups)
-
     def test_order_invariance(self):
         samples = self._chain()
-        g1 = build_graph(samples, CFG)
-        g2 = build_graph(list(reversed(samples)), CFG)
+        g1 = build_graph(samples)
+        g2 = build_graph(list(reversed(samples)))
         assert g1 == g2
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateSampleId):
-            build_graph([make_sample("X"), make_sample("X")], CFG)
+            build_graph([make_sample("X"), make_sample("X")])
 
     def test_seed_neighborhood(self):
-        g = build_graph(self._chain(), CFG)
+        g = build_graph(self._chain())
         assert seed_neighborhood(g, "A", 1) == ("A", "B")
         assert seed_neighborhood(g, "A", 2) == ("A", "B", "C")
         with pytest.raises(KeyError):
             seed_neighborhood(g, "nope", 1)
 
     def test_graph_json_deterministic(self):
-        g = build_graph(self._chain(), CFG)
-        assert graph_to_json(g) == graph_to_json(build_graph(self._chain(), CFG))
+        g = build_graph(self._chain())
+        assert graph_to_json(g) == graph_to_json(build_graph(self._chain()))
 
 
 def stdlib_graph_json(g):
@@ -202,12 +189,6 @@ class TestGraphJson:
         assert graph_to_json(g) == stdlib_graph_json(g)
         assert graph_to_json(g) == '{\n  "edges": [],\n  "groups": [],\n  "nodes": []\n}\n'
 
-    def test_i_max_zero(self):
-        samples = [make_sample(sid, fingerprint="same") for sid in ("b", 'q"\\', "\xe9")]
-        g = build_graph(samples, AssocConfig(i_max=0))
-        assert g.edges == () and all(len(c) == 1 for c in g.groups)
-        assert graph_to_json(g) == stdlib_graph_json(g)
-
     def test_every_rule_subset(self):
         assert len(RULE_SETS) == 15
         nodes = tuple(f"s{i:02d}" for i in range(16))
@@ -218,30 +199,15 @@ class TestGraphJson:
         assert graph_to_json(g) == stdlib_graph_json(g)
 
 
-def all_pairs_edges(samples, cfg):
+def all_pairs_edges(samples):
     """Reference edge list: fired_rules on every pair, in sorted (a, b) order."""
     ordered = sorted(samples, key=lambda s: s.sample_id)
     return tuple((x.sample_id, y.sample_id, rules)
                  for i, x in enumerate(ordered) for y in ordered[i + 1:]
-                 if (rules := fired_rules(x, y, cfg)))
+                 if (rules := fired_rules(x, y)))
 
 
 RANDOMS = st.randoms(use_true_random=False)
-
-
-def _max_distance(t):
-    return max(k for k in range(65) if 1.0 - k / 64.0 >= t)
-
-
-@st.composite
-def snapshot_threshold_st(draw):
-    """Exact 1 - k/64 values and their float neighbours, within (0, 1];
-    small k (few blocks) is drawn more often."""
-    k = draw(st.integers(min_value=0, max_value=8) | st.integers(min_value=0, max_value=64))
-    exact = 1.0 - k / 64.0
-    return draw(st.sampled_from(
-        [exact, math.nextafter(exact, 0.0), math.nextafter(exact, 2.0)])
-        .filter(lambda t: 0.0 < t <= 1.0))
 
 
 @st.composite
@@ -265,7 +231,8 @@ def near_duplicate_st(draw, bases, d):
 @st.composite
 def dn_variant_st(draw, base):
     """The base DN with each value kept, padded with whitespace, blanked
-    or replaced, so stripped values match where raw values differ."""
+    or replaced, so stripped values match where raw values differ and a
+    pair shares fewer than, exactly or more than k = 3 fields."""
     rng = draw(RANDOMS)
     return {f: rng.choice([v, v, f" {v}", f"{v} ", f"\t{v} ", "", "  ", "B"])
             for f, v in base.items()}
@@ -286,7 +253,6 @@ class TestBlocking:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_blocked_edges_match_all_pairs(self, data):
-        t = data.draw(snapshot_threshold_st())
         # each link kind is on or off for the whole corpus, so pairs linked
         # by one kind alone are common
         on = data.draw(st.fixed_dictionaries(
@@ -301,21 +267,13 @@ class TestBlocking:
             SIG_CLASS_ST,
             DOMAINS_ST if on["dom"] else st.just(()),
             IPS_ST if on["ip"] else st.just(()),
-            st.lists(near_duplicate_st(bases, _max_distance(t)), max_size=2)
+            st.lists(near_duplicate_st(bases, SNAPSHOT_MAX_BITS), max_size=2)
             if on["snap"] else st.just(()))
         samples = [make_sample(f"s{i}", dn=dn, fingerprint=fp, sig_class=cls,
                                domains=doms, resolved_ips=ips, hashes=hashes)
                    for i, (dn, fp, cls, doms, ips, hashes)
                    in enumerate(data.draw(st.lists(row, min_size=2, max_size=10)))]
-        cfg = AssocConfig(
-            i_max=data.draw(st.integers(min_value=1, max_value=3)),
-            url_overlap_threshold=data.draw(st.sampled_from(
-                [1e-9, 0.25, 0.5, 0.7, 1.0])),
-            snapshot_threshold=t,
-            min_signature_field_matches=data.draw(
-                st.integers(min_value=1, max_value=3)
-                | st.integers(min_value=1, max_value=9)))
-        assert build_graph(samples, cfg).edges == all_pairs_edges(samples, cfg)
+        assert build_graph(samples).edges == all_pairs_edges(samples)
 
     def test_padded_dn_fields_link(self):
         # equal once stripped, different raw: the DN keys must be stripped
@@ -323,19 +281,22 @@ class TestBlocking:
                                  "locality": "C", "country": " "})
         b = make_sample("b", dn={"commonName": "A", "organization": "\tB",
                                  "locality": " C ", "country": ""})
-        assert build_graph([a, b], CFG).edges == (("a", "b", ("Signature",)),)
+        assert build_graph([a, b]).edges == (("a", "b", ("Signature",)),)
 
-    @pytest.mark.parametrize("t,d", [(1.0, 0), (0.9, 6), (1.0 - 6 / 64.0, 6),
-                                     (math.nextafter(1.0 - 6 / 64.0, 1.0), 5),
-                                     (5e-324, 63)])
+    # the paper's similarity threshold and the exact similarity of d = 6
+    # differing bits both admit d = 6 bits and no more
+    @pytest.mark.parametrize("t,d", [(0.9, 6), (1.0 - 6 / 64.0, 6)])
     def test_snapshot_pair_at_max_distance_is_an_edge(self, t, d):
+        assert SNAPSHOT_MAX_BITS == d
         # d flipped bits, one in each block of a d-block split, so only
         # d + 1 blocks find the pair; one more bit puts it out of range
         near = sum(1 << (64 * i // d) for i in range(d))
         far = near | 1 << 63
+        assert similarity(VisualFingerprint(0), VisualFingerprint(near)) >= t
+        assert similarity(VisualFingerprint(0), VisualFingerprint(far)) < t
         samples = [make_sample(sid, hashes=[h])
                    for sid, h in (("a", 0), ("b", near), ("c", far))]
-        edges = build_graph(samples, AssocConfig(snapshot_threshold=t)).edges
+        edges = build_graph(samples).edges
         assert ("a", "b", ("Snapshot",)) in edges
         assert ("a", "c", ("Snapshot",)) not in edges
 
@@ -411,13 +372,12 @@ def test_oracle_equivalence_random_corpora():
     for trial in range(60):
         n = rng.randint(2, 12)
         samples, names, true_edges = random_corpus(rng, n)
-        # unbounded: exact connected components of the rule relation
-        g_full = build_graph(samples, AssocConfig(i_max=n))
-        assert g_full.groups == brute_components(names, true_edges)
-        # bounded: emitted edges match the BFS oracle
+        g = build_graph(samples)
+        # exact connected components of the rule relation
+        assert g.groups == brute_components(names, true_edges)
+        # every sample seeds a bounded BFS, so every fired edge is emitted
+        got = {(a, b) for a, b, _ in g.edges}
         for i_max in (1, 2):
-            g = build_graph(samples, AssocConfig(i_max=i_max))
-            got = {(a, b) for a, b, _ in g.edges}
             assert got == bfs_oracle_edges(names, true_edges, i_max), \
                 f"trial={trial} i_max={i_max}"
 
@@ -427,7 +387,7 @@ class TestGroupStats:
         samples = [make_sample(f"m{i}", fingerprint="shared") for i in range(4)]
         labels = {"m0": "Sex", "m1": "Financial", "m2": "Financial",
                   "m3": {"top": "Gambling"}}
-        g = build_graph(samples, CFG)
+        g = build_graph(samples)
         rows = group_stats(g, labels, corpus_size=8)
         assert rows[0].size == 4
         assert rows[0].corpus_pct == 50.0
@@ -435,7 +395,7 @@ class TestGroupStats:
         assert rows[0].category_pcts["Financial"] == 50.0
 
     def test_corpus_size_validation(self):
-        g = build_graph([make_sample("a")], CFG)
+        g = build_graph([make_sample("a")])
         with pytest.raises(ValueError):
             group_stats(g, {}, corpus_size=0)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests over fixture inputs."""
 
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,8 @@ from datetime import datetime, timedelta
 import pytest
 
 import apktriage
-from apktriage.reportcli.cli import main
+from apktriage.reportcli import cli
+from apktriage.reportcli.cli import build_parser, main
 
 from apk_builder import build_apk
 from axml_writer import build_manifest
@@ -424,17 +426,76 @@ def test_input_error_exit_code(tmp_path):
                  "--output", str(tmp_path / "o")]) == 1
 
 
-def test_config_file_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"i_max": 0}))
-    features = tmp_path / "f.jsonl"
-    features.write_text(json.dumps(
-        {"sample_id": "s1", "signature": None, "urls": [], "domains": [],
-         "ip_literals": [], "resolved_ips": [], "fingerprints": [],
-         "label": None}) + "\n")
-    out = tmp_path / "a"
-    assert main(["--config", str(cfg), "assoc", str(features),
-                 "--output", str(out)]) == 0
+# every flag of every verb; a setting has no other source
+VERB_OPTIONS = {
+    "scan": {"--output", "--fingerprint-db", "--whitelist", "--suffix-list",
+             "--dangerous-permission-file"},
+    "assoc": {"--output", "--corpus-size"},
+    "watch": {"--store", "--output", "--window-start", "--window-end", "--cadence-days",
+              "--script", "--manifest-mtimes"},
+    "payclass": {"--licensed-db", "--output"},
+    "report": {"--output", "--ignore-invalid"},
+}
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings
+            if o.startswith("--") and o != "--help"}
+
+
+def test_cli_option_sets():
+    parser = build_parser()
+    assert _options(parser) == set()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert {verb: _options(p) for verb, p in verbs.items()} == VERB_OPTIONS
+    assert sum(map(len, VERB_OPTIONS.values())) == 18
+
+
+def test_cli_accepts_benchmark_argv():
+    # the argv shapes triagebench/gen.py passes, copied as literals
+    parse = build_parser().parse_args
+    for extra in (["--whitelist", "w/whitelist.csv"],
+                  ["--fingerprint-db", "w/fingerprints.json"]):
+        args = parse(["scan", "w/apks", "--output", "w/out/scan.jsonl"] + extra)
+        assert args.func is cli.cmd_scan and args.output == "w/out/scan.jsonl"
+        assert (args.whitelist or args.fingerprint_db) == extra[1]
+    args = parse(["assoc", "w/features.jsonl", "--output", "w/out/assoc/groups"])
+    assert args.func is cli.cmd_assoc and args.corpus_size is None
+    args = parse(["report", "w/labels.jsonl", "--output", "w/out/report/corpus"])
+    assert args.func is cli.cmd_report and not args.ignore_invalid
+    args = parse(["payclass", "w/observations.jsonl", "--licensed-db", "w/licensed.txt",
+                  "--output", "w/out/pay.json"])
+    assert args.func is cli.cmd_payclass and args.licensed_db == "w/licensed.txt"
+    args = parse(["watch", "w/domains.txt", "--store", "w/store", "--output", "w/out/fresh",
+                  "--window-start", "2020-12-06T00:00:00+00:00",
+                  "--window-end", "2021-02-19T00:00:00+00:00",
+                  "--cadence-days", "1", "--script", "w/script-0.json",
+                  "--manifest-mtimes", "w/mtimes.json"])
+    assert args.func is cli.cmd_watch and args.cadence_days == 1
+    assert (args.window_start, args.manifest_mtimes) == \
+        ("2020-12-06T00:00:00+00:00", "w/mtimes.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["assoc", "x.jsonl"],
+    ["bogus"],
+    [],
+    ["--config", "c.json", "assoc", "x.jsonl", "--output", "a"],
+    ["assoc", "x.jsonl", "--output", "a", "--i-max", "2"],
+    ["watch", "d.txt", "--store", "s", "--output", "w", "--window-end", "2021-01-02"],
+], ids=["missing-output", "unknown-verb", "no-verb", "config-file", "removed-flag",
+        "watch-without-window-start"])
+def test_usage_error_is_an_input_error(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["assoc", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--corpus-size" in out and "--i-max" not in out
 
 
 # a verb run in a fresh interpreter; prints which heavy modules it loaded

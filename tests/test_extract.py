@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apktriage.apkcore import ApkError, open_apk
+from apktriage.apkcore import ApkArtifact, ApkError, open_apk, zipread
 from apktriage.apkcore.certs import load_known_signatures
 from apktriage.extract import (
     ImageUndecodable,
@@ -63,13 +63,18 @@ class TestNormalize:
         ("http://[2001:db8::1]:8080/x", "http://[2001:db8::1]:8080/x"),
         ("http://[::1]:80/", "http://[::1]/"),
         ("HTTPS://[FE80::A]:443/p", "https://[fe80::a]/p"),
+        # one address, one string: the bracketed host in compressed form
+        ("http://[2001:0DB8:0::1]/", "http://[2001:db8::1]/"),
+        ("http://[0:0:0:0:0:0:0:1]:8080/a", "http://[::1]:8080/a"),
     ])
     def test_normalization(self, raw, expected):
         assert normalize_url(raw) == expected
 
     @pytest.mark.parametrize("raw", ["ftp://x.com/", "not a url", "http://",
                                      "http://pay.evil.com:99999/x",
-                                     "http://cdn.c.com:8o80/a"])
+                                     "http://cdn.c.com:8o80/a",
+                                     # a bracketed host that is no IPv6 address
+                                     "http://[v1.a:b]/", "http://[1:2]/"])
     def test_rejects(self, raw):
         assert normalize_url(raw) is None
 
@@ -103,6 +108,13 @@ class TestUrlExtraction:
         assert u.ip_literals == {"2001:db8::1", "::1"}
         assert u.domains == frozenset()
 
+    def test_bracketed_host_spellings(self):
+        u = urlset_from_strings(["http://[2001:0DB8:0::1]/a http://[2001:db8::1]/b",
+                                 "http://[v1.a:b]/c"], PSL)
+        assert u.urls == {"http://[2001:db8::1]/a", "http://[2001:db8::1]/b"}
+        assert u.ip_literals == {"2001:db8::1"}
+        assert u.domains == frozenset()
+
     def test_invalid_ipv4_rejected(self):
         u = urlset_from_strings(["addr 999.1.2.3 nope"], PSL)
         assert not u.ip_literals
@@ -124,6 +136,27 @@ class TestUrlExtraction:
         assert "http://kept.example/a" in u.urls
         assert not any("lost" in x for x in u.urls)
 
+    def test_each_entry_read_once_through_its_record(self, monkeypatch):
+        # a lookup by path per entry would make a scan quadratic in the
+        # entry count
+        apk = open_apk(build_apk(extra_files={f"res/raw/e{i:04d}.bin": b"\x00x%d" % i
+                                              for i in range(3000)}), KNOWN)
+        read = []
+        real_read = zipread.read_entry
+
+        def counted(data, entry):
+            read.append(entry.path)
+            return real_read(data, entry)
+
+        def by_path(self, path):
+            raise AssertionError(f"entry {path!r} looked up by path")
+
+        monkeypatch.setattr(zipread, "read_entry", counted)
+        monkeypatch.setattr(ApkArtifact, "entry", by_path)
+        extract_urls(apk, psl=PSL)
+        assert sorted(read) == sorted(e.path for e in apk.entries)
+        assert len(read) == len(apk.entries) > 3000
+
 
 # Fragments whose joins and breaks exercise every boundary of the printable
 # runs and of the URL and IP patterns.
@@ -133,7 +166,7 @@ _FRAGMENTS = [
     "http://203.0.113.9:8080/gate", "http://[fe80::1/", "http://",
     "1.2.3.4", "10.0.0.1.5", "999.1.2.3", "203.0.113.77", "\u0661", "\u0663.1.2.3",
     "1.2.3.\u0664", "\u0e51", "2001:db8::1", "fe80::1:", "2001:db8::2.", "::ffff:1.2.3.4",
-    "a:b:c", "a:b::1", "1:2:3:4:5:6:7:8", "ABCD:ef01::", "abcde", "abcdef", "12345", "123456",
+    "a:b:c", "a:b::1", "1:2:3:4:5:6:7:8", "ABCD:ef01::", "http://[2001:0DB8:0::1]/", "http://[v1.a:b]/", "abcde", "abcdef", "12345", "123456",
     "xy", ".", ":", "/", " ", "\n", "\x00", "\x7f", "\xff", "\x1f",
 ]
 _TEXT_NAMES = ["assets/www/app.js", "assets/index.html", "assets/conf.json"]

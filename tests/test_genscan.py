@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from apktriage.apkcore import open_apk
+from apktriage.apkcore import ApkArtifact, open_apk
 from apktriage.apkcore.certs import load_known_signatures
 from apktriage.genscan import (
     CipherError,
@@ -114,6 +114,18 @@ class TestContent:
         content = decrypt_assets(apk, match)
         got = content.decrypted.get("assets/widgetone/apps/main/config.json")
         assert got == plain
+
+    def test_decrypt_reads_entries_without_a_path_lookup(self, monkeypatch):
+        key = b"appcan-demo-key!"
+        apk = self._appcan_apk(key, b'{"a": 1}')
+        match = detect_generator(apk, _keyed_db(key))
+
+        def by_path(self, path):
+            raise AssertionError(f"entry {path!r} looked up by path")
+
+        monkeypatch.setattr(ApkArtifact, "entry", by_path)
+        content = decrypt_assets(apk, match)
+        assert content.decrypted == {"assets/widgetone/apps/main/config.json": b'{"a": 1}'}
 
     def test_decrypt_wrong_key_fails_validation(self):
         apk = self._appcan_apk(b"right-key-123456", b'{"a": 1}' * 50)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apktriage.apkcore.certs import SignerIdentity
-from apktriage.assoc import AssocConfig, build_graph, fired_rules
+from apktriage.assoc import build_graph, fired_rules
 from apktriage.extract import filter_whitelist, load_suffix_list
 from apktriage.extract.snapshot import VisualFingerprint, similarity
 from apktriage.extract.urls import UrlSet
@@ -52,8 +52,7 @@ def sample_st(draw, sid):
 def test_rule_symmetry(data):
     a = data.draw(sample_st("a"))
     b = data.draw(sample_st("b"))
-    cfg = AssocConfig()
-    assert fired_rules(a, b, cfg) == fired_rules(b, a, cfg)
+    assert fired_rules(a, b) == fired_rules(b, a)
 
 
 @CASES
@@ -88,8 +87,7 @@ def test_snapshot_threshold_monotonicity(a, b, t1, t2):
 def test_partition_invariants(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     samples = [data.draw(sample_st(f"s{i}")) for i in range(n)]
-    cfg = AssocConfig(i_max=data.draw(st.integers(min_value=0, max_value=4)))
-    g = build_graph(samples, cfg)
+    g = build_graph(samples)
     # groups partition the node set exactly
     flat = [x for comp in g.groups for x in comp]
     assert sorted(flat) == sorted(g.nodes)
@@ -99,17 +97,14 @@ def test_partition_invariants(data):
     for a, b, rules in g.edges:
         assert membership[a] == membership[b]
         assert rules
-    # edges are exactly the pairs some rule fires on, or none when i_max = 0
-    if cfg.i_max == 0:
-        assert g.edges == ()
-    else:
-        fired = {}
-        for i, x in enumerate(samples):
-            for y in samples[i + 1:]:
-                a, b = sorted((x, y), key=lambda s: s.sample_id)
-                if rules := fired_rules(a, b, cfg):
-                    fired[(a.sample_id, b.sample_id)] = rules
-        assert {(a, b): rules for a, b, rules in g.edges} == fired
+    # edges are exactly the pairs some rule fires on
+    fired = {}
+    for i, x in enumerate(samples):
+        for y in samples[i + 1:]:
+            a, b = sorted((x, y), key=lambda s: s.sample_id)
+            if rules := fired_rules(a, b):
+                fired[(a.sample_id, b.sample_id)] = rules
+    assert {(a, b): rules for a, b, rules in g.edges} == fired
 
 
 @CASES

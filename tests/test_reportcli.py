@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 from apktriage.apkcore.permissions import PermissionProfile
-from apktriage.assoc import AssocConfig, build_graph
+from apktriage.assoc import build_graph
 from apktriage.reportcli import (
     SUB_BY_NAME,
     SUB_CATEGORIES,
@@ -127,7 +127,7 @@ class TestEmit:
 
     def test_group_table_column_order(self, tmp_path):
         samples = [make_sample(f"m{i}", fingerprint="shared") for i in range(4)]
-        g = build_graph(samples, AssocConfig())
+        g = build_graph(samples)
         from apktriage.assoc import group_stats, group_table
         rows = group_stats(g, {"m0": "Sex"}, corpus_size=10)
         csv_path, _ = emit_report(str(tmp_path / "groups"), *group_table(rows))
@@ -180,7 +180,7 @@ def test_every_sub_has_known_top():
 def test_label_shapes_share_one_top_reader(lab, top):
     from apktriage.assoc import group_stats
     from apktriage.reportcli import TOP_CATEGORIES
-    g = build_graph([make_sample("s1"), make_sample("s2")], AssocConfig())
+    g = build_graph([make_sample("s1"), make_sample("s2")])
     rows = group_stats(g, {"s1": lab, "s2": "Sex"}, corpus_size=2)
     assert [r.members for r in rows] == [("s1",), ("s2",)]
     assert rows[0].category_counts == {c: int(c == top) for c in TOP_CATEGORIES}

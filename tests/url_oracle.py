@@ -4,10 +4,12 @@ must agree with.
 Every printable-ASCII run of a non-text entry is scanned on its own, with
 IP patterns that open with a lookbehind. Entries are read with the stdlib
 ``zipfile`` module; nothing is imported from ``apktriage.extract``. The
-changes from the original scanner are both in ``normalize_url``: it drops a
-URL whose port is out of range or not a number, and it keeps the brackets
-of an IPv6-literal host, so that host stays an IP literal and never reads
-as a domain.
+changes from the original scanner are all in ``normalize_url``: it drops a
+URL whose port is out of range or not a number; it keeps the brackets of
+an IPv6-literal host, so that host stays an IP literal and never reads as
+a domain; it writes that host in the compressed form ``ipaddress`` gives,
+so one address is one string; and it drops a URL whose bracketed host is
+not an IPv6 address (an IPvFuture literal such as ``[v1.a:b]``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ def normalize_url(raw: str) -> str | None:
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
     if ":" in host:
-        host = f"[{host}]"
+        try:
+            host = f"[{ipaddress.IPv6Address(host)}]"
+        except ValueError:
+            return None
     try:
         port = parts.port
     except ValueError:
