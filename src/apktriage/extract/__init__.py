@@ -3,7 +3,6 @@ from apktriage.extract.psl import SuffixList, load_suffix_list
 from apktriage.extract.snapshot import (
     ImageUndecodable,
     VisualFingerprint,
-    similarity,
     snapshot_fingerprint,
 )
 from apktriage.extract.urls import (
@@ -17,7 +16,7 @@ from apktriage.extract.urls import (
 
 __all__ = [
     "ParadigmLabel", "classify_paradigm", "SuffixList", "load_suffix_list",
-    "ImageUndecodable", "VisualFingerprint", "similarity", "snapshot_fingerprint",
+    "ImageUndecodable", "VisualFingerprint", "snapshot_fingerprint",
     "UrlSet", "extract_urls", "filter_whitelist", "load_whitelist",
     "normalize_url", "urlset_from_strings",
 ]

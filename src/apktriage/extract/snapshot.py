@@ -60,11 +60,6 @@ def snapshot_fingerprint(pixels, source: str = "") -> VisualFingerprint:
     return VisualFingerprint(hash_bits=bits, source=source)
 
 
-def similarity(a: VisualFingerprint, b: VisualFingerprint) -> float:
-    """1 - normalized Hamming distance; symmetric, bounded in [0, 1]."""
-    return 1.0 - (a.hash_bits ^ b.hash_bits).bit_count() / 64.0
-
-
 def load_grayscale(path) -> list[bytes]:
     """Decode a PNG/JPEG snapshot file to grayscale rows, one byte a pixel."""
     try:

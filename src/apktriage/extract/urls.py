@@ -13,6 +13,8 @@ from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList
 from apktriage.util import read_data_text
 
+# With IGNORECASE, _URL_RE has no literal prefix for ``re`` to scan for, so
+# ``_scan_text`` tries it only 5 and 4 characters before each "://".
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
 # Each IP pattern opens with a character class, so that ``re`` can skip ahead
 # to candidate characters. The check that no digit (or hex digit, ":" or
@@ -21,21 +23,15 @@ _URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
 _IPV4_RE = re.compile(r"(\d(?<![\d.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3})(?![\d.])")
 _IPV6_RE = re.compile(r"([0-9A-Fa-f](?<![0-9A-Fa-f:.][0-9A-Fa-f])[0-9A-Fa-f]{0,3}:"
                       r"(?:[0-9A-Fa-f]{1,4}:){1,6}[0-9A-Fa-f:.]+)")
-# Each pattern runs only on texts that hold its gate, a literal that every
-# match of the pattern contains: "://" for a URL; for an IPv4 address the
-# first dot, the second octet, the next dot and a digit; for an IPv6 address
-# the first colon, the first repeated group and that group's colon. A text
-# the gate skips has no match. The two IP gates open with a literal
-# character, which ``re`` scans for fast.
+# Each IP pattern runs only on texts that hold its gate, a literal that every
+# match of the pattern contains: for an IPv4 address the first dot, the second
+# octet, the next dot and a digit; for an IPv6 address the first colon, the
+# first repeated group and that group's colon. A text the gate skips has no
+# match. Both gates open with a literal character, which ``re`` scans for fast.
 _IPV4_GATE = re.compile(r"\.\d{1,3}\.\d")
 _IPV6_GATE = re.compile(r":[0-9A-Fa-f]{1,4}:")
 _TEXT_SUFFIXES = (".html", ".htm", ".js", ".json", ".xml", ".txt", ".css", ".properties", ".cfg")
-# Printable-ASCII runs of at least 6 bytes: mapping printable bytes
-# (0x20-0x7e) to "a" and all others to NUL turns the search for a run into
-# a literal-prefix search, which ``re`` runs far faster than a character
-# class tried at every byte.
-_PRINTABLE_TO_A = bytes(0x61 if 0x20 <= b <= 0x7E else 0 for b in range(256))
-_RUN_RE = re.compile(rb"aaaaaa+")
+_PRINTABLE_OR_NL = bytes(b if 0x20 <= b <= 0x7E else 0x0A for b in range(256))
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 # ranked whitelist lines kept, counted from the top of the file
 WHITELIST_LIMIT = 10_000
@@ -84,11 +80,18 @@ def _is_ip(host: str) -> bool:
 
 
 def _scan_text(text: str, urls: set[str], ips: set[str]) -> None:
-    if "://" in text:
-        for m in _URL_RE.finditer(text):
-            url = normalize_url(m.group(0))
-            if url:
-                urls.add(url)
+    end = 0  # as in ``finditer``, no match starts inside the previous one
+    i = text.find("://")
+    while i >= 0:
+        for start in (i - 5, i - 4):
+            m = _URL_RE.match(text, start) if start >= end else None
+            if m:
+                end = m.end()
+                url = normalize_url(m.group(0))
+                if url:
+                    urls.add(url)
+                break
+        i = text.find("://", i + 3)
     if _IPV4_GATE.search(text):
         for m in _IPV4_RE.finditer(text):
             try:
@@ -122,14 +125,16 @@ def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
 
 
 def _printable_runs(data: bytes) -> str:
-    """The entry's printable-ASCII runs, joined by "\n".
+    """The whole entry as text, each printable-ASCII run between "\n"s.
 
-    No pattern matches across "\n" and every lookaround treats it like the
-    end of a string, so one scan of the joined text finds exactly what
-    scanning each run on its own finds.
+    The reference scans each run of at least 6 bytes on its own. A shorter
+    run holds nothing it reports: the shortest URL ``normalize_url`` keeps
+    has 8 characters ("http://a"), the shortest IPv4 address 7 and the
+    shortest IPv6 address 6 ("1:2::3", after the rstrip). No pattern matches
+    across "\n" and every lookaround treats it like the end of a string, so
+    one scan of this text finds what the reference finds.
     """
-    runs = _RUN_RE.finditer(data.translate(_PRINTABLE_TO_A))
-    return b"\n".join([data[m.start():m.end()] for m in runs]).decode("ascii")
+    return data.translate(_PRINTABLE_OR_NL).decode("ascii")
 
 
 def extract_urls(apk: ApkArtifact, psl: SuffixList,
@@ -140,20 +145,20 @@ def extract_urls(apk: ApkArtifact, psl: SuffixList,
     entries (path -> bytes), and printable ASCII runs from all remaining
     entries. An entry that cannot be read is skipped. Order-independent.
     """
-    strings: list[str] = []
     decrypted = decrypted or {}
-    for entry in apk.entries:
-        data = decrypted.get(entry.path)
-        if data is None:
-            try:
-                data = zipread.read_entry(apk.raw, entry)
-            except ApkError:
-                continue
-        if entry.path.lower().endswith(_TEXT_SUFFIXES):
-            strings.append(data.decode("utf-8", "replace"))
-        else:
-            strings.append(_printable_runs(data))
-    return urlset_from_strings(strings, psl)
+    def texts():  # one at a time, so that only one entry's text is held
+        for entry in apk.entries:
+            data = decrypted.get(entry.path)
+            if data is None:
+                try:
+                    data = zipread.read_entry(apk.raw, entry)
+                except ApkError:
+                    continue
+            if entry.path.lower().endswith(_TEXT_SUFFIXES):
+                yield data.decode("utf-8", "replace")
+            else:
+                yield _printable_runs(data)
+    return urlset_from_strings(texts(), psl)
 
 
 def load_whitelist(path=None) -> frozenset[str]:

@@ -19,7 +19,8 @@ EXIT_INTERNAL = 2
 
 def _iter_apks(path: str):
     if os.path.isdir(path):
-        for root, _dirs, files in os.walk(path):
+        for root, dirs, files in os.walk(path):
+            dirs.sort()  # os.walk descends in this order
             for name in sorted(files):
                 if name.lower().endswith(".apk"):
                     yield os.path.join(root, name)

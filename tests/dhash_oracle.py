@@ -1,5 +1,6 @@
 """Reference dHash: the numpy area-mean downscale that ``snapshot_fingerprint``
-must agree with bit for bit.
+must agree with bit for bit, and the similarity the snapshot rule's
+threshold is stated in.
 
 Block edges come from ``numpy.linspace(...).round()`` and each block mean
 from ``ndarray.mean()``; nothing is imported from ``apktriage.extract``.
@@ -33,3 +34,9 @@ def dhash(pixels) -> int:
     for v in diff.flatten():
         bits = (bits << 1) | int(v)
     return bits
+
+
+def similarity(a, b) -> float:
+    """1 - normalized Hamming distance of two fingerprints (anything with a
+    64-bit ``hash_bits``); symmetric, bounded in [0, 1]."""
+    return 1.0 - bin(a.hash_bits ^ b.hash_bits).count("1") / 64.0

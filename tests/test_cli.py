@@ -45,6 +45,25 @@ def test_scan_directory(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_scan_walks_subdirectories_in_sorted_order(tmp_path):
+    # os.walk lists a directory in file-system order; the records must not
+    # depend on it: top-down, each directory's files before its
+    # subdirectories, both in sorted order
+    d = tmp_path / "apks"
+    apk = build_apk(package="com.walk")
+    names = ["g", "c", "a1", "h", "b", "e", "a", "f"]
+    for name in names:
+        (d / name / "inner").mkdir(parents=True)
+        (d / name / "x.apk").write_bytes(apk)
+        (d / name / "inner" / "x.apk").write_bytes(apk)
+    (d / "top.apk").write_bytes(apk)
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 0
+    got = [json.loads(line)["path"] for line in out.read_text().splitlines()]
+    assert got == [str(d / "top.apk")] + [
+        str(d / name / sub / "x.apk") for name in sorted(names) for sub in ("", "inner")]
+
+
 def test_assoc_and_report_pipeline(tmp_path):
     features = tmp_path / "features.jsonl"
     rows = [

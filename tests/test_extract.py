@@ -1,7 +1,9 @@
 """URL extraction, suffix-list reduction, whitelist filtering, paradigm
 classification and snapshot-fingerprint tests."""
 
+import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from apktriage.extract import (
     load_suffix_list,
     load_whitelist,
     normalize_url,
-    similarity,
     snapshot_fingerprint,
+    urls,
     urlset_from_strings,
 )
 from apktriage.extract.snapshot import load_grayscale
@@ -238,6 +240,96 @@ class TestOracle:
         _check_apk(files)
 
 
+# Printable islands planted between non-printable bytes: endpoint fragments
+# too short to report, schemes cut short, chained and mixed-case URLs, and IP
+# literals flush against the island edges.
+_ISLANDS = [
+    "http", "://", "s://", "ttp:/", "p://a", "1.2.3", "a:b:c", "1:2:", "http:", "12345",
+    "http://a", "http://a/http://b", "HTTPS://A.B", "xhttps://c.d", "hTtP://[::1]/",
+    "1.2.3.4", "203.0.113.9", "1:2::3", "fe80::1:", "a:b::1.", "http://1.2.3.4:80/",
+]
+# each "://" at text offsets 0-5 of an entry
+_OPENINGS = ["://a.b", "s://a.b", "p://a.b", "ps://a.b", "tp://a.b", "tps://a.b", "ttp://a.b",
+             "ttps://a.b", "http://a.b", "https://a.b", "xhttp://a.b"]
+_NON_PRINTABLE = [b for b in range(256) if not 0x20 <= b <= 0x7E]
+_island_st = st.one_of(st.sampled_from(_ISLANDS),
+                       st.text(alphabet="htpsHTPS:/.x1a[]", min_size=1, max_size=12))
+_gap_st = st.binary(min_size=1, max_size=3).map(
+    lambda b: bytes(_NON_PRINTABLE[x % len(_NON_PRINTABLE)] for x in b))
+
+
+@st.composite
+def _binary_entry_st(draw):
+    parts = [draw(st.sampled_from(_OPENINGS)).encode()] if draw(st.booleans()) else []
+    for island in draw(st.lists(_island_st, max_size=10)):
+        if parts or draw(st.booleans()):
+            parts.append(draw(_gap_st))
+        parts.append(island.encode())
+    return b"".join(parts)
+
+
+class TestWholeEntryScan:
+    """Each non-text entry is scanned whole, with ``_URL_RE`` tried only at
+    each "://"; the per-run reference in ``url_oracle`` must agree."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_binary_entry_st(), min_size=1, max_size=3),
+           st.lists(st.sampled_from(_OPENINGS + _ISLANDS), max_size=6))
+    def test_planted_islands_match_oracle(self, binaries, text):
+        files = {name: data for name, data in zip(_BINARY_NAMES, binaries)}
+        files["assets/www/app.js"] = " ".join(text).encode()
+        _check_apk(files)
+
+    @pytest.mark.parametrize("body", [
+        # Unicode case folding: "\u017f" (long s) matches "s", so the oracle
+        # takes the whole chain as one match and reports nothing
+        "http\u017f://a.example/http://b.example",
+        "ttp\u017f://a.example/ HTTP\u017f://b.example/x http\u017f://c.example",
+        "://x.example/ s://y.example/ https://z.example/",
+    ])
+    def test_text_asset_matches_oracle(self, body):
+        _check_apk({"assets/index.html": body.encode()})
+
+    def test_url_pattern_tried_only_at_each_separator(self, monkeypatch):
+        # a multi-MB entry with k "://": at most 2k anchored matches and no
+        # search of the whole text, which would try the pattern at every byte
+        rng = random.Random(3)
+        filler = bytes(rng.choice(b"\x00\x01abc /.\xff\x7f012") for _ in range(1 << 17))
+        planted = [b"http://h%d.example/p" % i for i in range(40)] + [b"ftp://x.y", b"s://z"]
+        blob = b"".join(filler + p + b"\x00" for p in planted)
+        assert len(blob) > 5_000_000
+        apk = open_apk(build_apk(extra_files={"res/raw/blob.bin": blob}), KNOWN)
+        k = sum(zipread.read_entry(apk.raw, e).count(b"://") for e in apk.entries)
+        calls = []
+        real = urls._URL_RE
+
+        class Counted:
+            def match(self, text, pos=0):
+                calls.append(pos)
+                return real.match(text, pos)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"_URL_RE.{name} used")
+
+        monkeypatch.setattr(urls, "_URL_RE", Counted())
+        u = extract_urls(apk, psl=PSL)
+        assert {f"http://h{i}.example/p" for i in range(40)} <= u.urls
+        assert k >= len(planted) and 0 < len(calls) <= 2 * k
+
+    def test_entries_scanned_one_at_a_time(self):
+        # holding every entry's text until the scan would take n entries' worth
+        size, n = 1 << 21, 8
+        blob = random.Random(5).randbytes(size)
+        apk = open_apk(build_apk(extra_files={f"res/raw/b{i}.bin": blob for i in range(n)}), KNOWN)
+        tracemalloc.start()
+        try:
+            extract_urls(apk, psl=PSL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * size
+
+
 class TestWhitelist:
     def test_curated_list_loads(self):
         wl = load_whitelist()
@@ -304,27 +396,27 @@ class TestSnapshot:
         img = rng.integers(0, 256, size=(64, 48)).astype(float)
         a = snapshot_fingerprint(img)
         b = snapshot_fingerprint(img.copy())
-        assert similarity(a, b) == 1.0
+        assert dhash_oracle.similarity(a, b) == 1.0
 
     def test_small_brightness_shift_high_similarity(self):
         rng = np.random.default_rng(8)
         img = rng.integers(16, 240, size=(120, 90)).astype(float)
         a = snapshot_fingerprint(img)
         b = snapshot_fingerprint(np.clip(img + 4, 0, 255))
-        assert similarity(a, b) >= 0.9
+        assert dhash_oracle.similarity(a, b) >= 0.9
 
     def test_unrelated_images_low_similarity(self):
         rng = np.random.default_rng(9)
         a = snapshot_fingerprint(rng.integers(0, 256, size=(64, 64)).astype(float))
         b = snapshot_fingerprint(rng.integers(0, 256, size=(64, 64)).astype(float))
-        assert similarity(a, b) < 0.9
+        assert dhash_oracle.similarity(a, b) < 0.9
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(10)
         a = snapshot_fingerprint(rng.integers(0, 256, size=(32, 32)).astype(float))
         b = snapshot_fingerprint(rng.integers(0, 256, size=(32, 32)).astype(float))
-        assert similarity(a, b) == similarity(b, a)
-        assert 0.0 <= similarity(a, b) <= 1.0
+        assert dhash_oracle.similarity(a, b) == dhash_oracle.similarity(b, a)
+        assert 0.0 <= dhash_oracle.similarity(a, b) <= 1.0
 
     def test_too_small_image(self):
         with pytest.raises(ImageUndecodable):
@@ -339,8 +431,8 @@ class TestSnapshot:
         rng = np.random.default_rng(11)
         img = rng.integers(0, 256, size=(40, 36)).astype(float)
         big = img.repeat(2, axis=0).repeat(2, axis=1)
-        assert similarity(snapshot_fingerprint(img),
-                          snapshot_fingerprint(big)) >= 0.95
+        assert dhash_oracle.similarity(snapshot_fingerprint(img),
+                                       snapshot_fingerprint(big)) >= 0.95
 
     @pytest.mark.parametrize("pixels", [
         [[0] * 10] * 9 + [[0] * 11],          # ragged

