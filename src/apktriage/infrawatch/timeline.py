@@ -7,8 +7,10 @@ Each event is one JSON line; every timestamp is stored as UTC whole
 seconds (``YYYY-MM-DDTHH:MM:SSZ``). A line counts as a record only once
 its newline is written: ``load`` drops an unterminated final line (a
 write torn by a crash), and the first append to a file in a run cuts
-such a tail off before writing. A bad line that does end in a newline
-still raises.
+such a tail off before writing. A line that does end in a newline must
+hold one of the four record shapes (resolution, probe, gap, whois) with
+values of the types the store writes; any other raises ValueError naming
+the file and the line number.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 
@@ -85,12 +89,20 @@ class DomainTimeline:
 
 
 def _ts(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+    # memoized on the UTC instant, never on ``dt``: aware datetimes that share a
+    # zoneinfo tzinfo compare and hash equal at fold 0 and fold 1
+    return _utc_ts(dt.astimezone(timezone.utc))
+
+
+@lru_cache(maxsize=4096)
+def _utc_ts(dt: datetime) -> str:
+    return dt.replace(microsecond=0, tzinfo=None).isoformat() + "Z"
 
 
 _TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 
 
+@lru_cache(maxsize=4096)
 def _parse_ts(s: str) -> datetime:
     """Inverse of ``_ts``; any other form raises ValueError."""
     m = _TS.fullmatch(s)
@@ -99,7 +111,30 @@ def _parse_ts(s: str) -> datetime:
     return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_RECORD_KEYS = {"kind", "payload", "ts"}
+_PROBE_KEYS = {"alive", "detail"}
+_WHOIS_KEYS = {"country", "created", "registrant"}
+_KINDS = ("resolution", "probe", "gap", "whois")
+
+
+def _line(record: dict) -> str:
+    """The store line of ``record``: ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` and a newline, written from the fixed shape of
+    its kind."""
+    kind, p = record["kind"], record["payload"]
+    if kind == "resolution":
+        payload = "null" if p is None else "[" + ",".join(map(_quote, p)) + "]"
+    elif kind == "probe":
+        payload = '{"alive":%s,"detail":%s}' % ("true" if p["alive"] else "false",
+                                                 _quote(p["detail"]))
+    elif kind == "gap":
+        payload = _quote(p)
+    elif kind == "whois":
+        payload = '{"country":%s,"created":%s,"registrant":%s}' % (
+            _quote(p["country"]), _quote(p["created"]), _quote(p["registrant"]))
+    else:
+        raise ValueError(f"unknown record kind {kind!r}")
+    return '{"kind":"%s","payload":%s,"ts":%s}\n' % (kind, payload, _quote(record["ts"]))
 
 
 class TimelineStore:
@@ -140,11 +175,12 @@ class TimelineStore:
         return f
 
     def append(self, domain: str, record: dict) -> None:
+        line = _line(record).encode("ascii")
         if domain != self._domain:
             self.close()
             self._file = self._open(domain)
             self._domain = domain
-        self._file.write((_encode(record) + "\n").encode("utf-8"))
+        self._file.write(line)
         self._file.flush()
 
     def close(self) -> None:
@@ -175,23 +211,34 @@ class TimelineStore:
             return t
         with open(path, encoding="utf-8", newline="") as f:
             lines = f.read().split("\n")
-        for line in lines[:-1]:  # the last piece is "" or an unterminated line
+        for n, line in enumerate(lines[:-1], 1):  # the last piece is "" or unterminated
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            ts = _parse_ts(rec["ts"])
-            kind = rec["kind"]
-            if kind == "resolution":
-                ips = rec["payload"]
-                t.add_resolution(Resolution(ts, None if ips is None else frozenset(ips)))
-            elif kind == "probe":
-                t.add_probe(Probe(ts, rec["payload"]["alive"], rec["payload"]["detail"]))
-            elif kind == "gap":
-                t.gaps.append((ts, rec["payload"]))
-            elif kind == "whois":
-                p = rec["payload"]
-                t.whois = WhoisRecord(p.get("registrant", ""), p.get("country", ""),
-                                      p.get("created", ""))
+            try:
+                rec = json.loads(line)
+                if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
+                    raise ValueError("a record is an object of exactly kind, payload and ts")
+                kind, p, ts = rec["kind"], rec["payload"], rec["ts"]
+                if type(ts) is not str:
+                    raise ValueError(f"bad store timestamp {ts!r}")
+                ts = _parse_ts(ts)
+                if kind == "resolution" and (p is None or type(p) is list
+                                             and all(type(ip) is str for ip in p)):
+                    t.add_resolution(Resolution(ts, None if p is None else frozenset(p)))
+                elif (kind == "probe" and type(p) is dict and p.keys() == _PROBE_KEYS
+                      and type(p["alive"]) is bool and type(p["detail"]) is str):
+                    t.add_probe(Probe(ts, p["alive"], p["detail"]))
+                elif kind == "gap" and type(p) is str:
+                    t.gaps.append((ts, p))
+                elif (kind == "whois" and type(p) is dict and p.keys() == _WHOIS_KEYS
+                      and all(type(v) is str for v in p.values())):
+                    t.whois = WhoisRecord(p["registrant"], p["country"], p["created"])
+                elif kind in _KINDS:
+                    raise ValueError(f"bad {kind} payload {p!r}")
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (ValueError, RecursionError) as e:  # json recurses on nesting
+                raise ValueError(f"{path}, line {n}: {e}") from None
         return t
 
     def domains(self) -> list[str]:

@@ -386,6 +386,19 @@ def test_watch_resumes_after_torn_tail(tmp_path, tail):
     _assert_resume_matches_uninterrupted(tmp_path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"kind":"probe","payload":null,"ts":"2021-01-01T00:00:00Z"}',
+    '["x"]',
+], ids=["null-payload", "not-an-object"])
+def test_watch_wrong_shaped_store_line_is_an_input_error(tmp_path, capsys, line):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "a.example.jsonl").write_text(line + "\n")
+    code = _watch(tmp_path, "w", "store", "2021-01-01T00:00:00+00:00", 1, slice(0, 2))
+    assert code == 1
+    assert "a.example.jsonl, line 1: " in capsys.readouterr().err
+
+
 def test_watch_rejects_unmappable_domain(tmp_path, capsys):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\nx/y.example\n")

@@ -1,11 +1,13 @@
 """Monitoring, lifespan, binding, geolocation and registrant tests."""
 
+import json
 import socket
 import sys
 import tempfile
 import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import pytest
 from hypothesis import given, settings
@@ -162,8 +164,35 @@ class TestStoreTimestamps:
         with pytest.raises(ValueError):
             _parse_ts(s)
 
+    @pytest.mark.parametrize("folds", [(0, 1), (1, 0)])
+    def test_fold_kept_through_the_memo(self, folds):
+        # 01:30 happens twice in New York on 2021-11-07; the two times compare
+        # and hash equal, so a memo keyed on the caller's datetime mixes them up
+        try:
+            ny = ZoneInfo("America/New_York")
+        except ZoneInfoNotFoundError:
+            pytest.skip("no tz database")
+        want = {0: "2021-11-07T05:30:00Z", 1: "2021-11-07T06:30:00Z"}
+        for _ in range(2):
+            for fold in folds:
+                assert _ts(datetime(2021, 11, 7, 1, 30, tzinfo=ny, fold=fold)) == want[fold]
+
+    def test_malformed_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                _parse_ts("2021-02-30T00:00:00Z")
+
+    def test_more_ticks_than_the_memo_holds(self):
+        start = datetime(2021, 1, 1, 8, tzinfo=CST)
+        ticks_ = [start + timedelta(hours=h, microseconds=h % 3) for h in range(10_000)]
+        for dt in ticks_ + ticks_[::-1]:
+            s = _ts(dt)
+            assert s == dt.astimezone(timezone.utc).strftime(STORE_FMT)
+            assert _parse_ts(s) == dt.replace(microsecond=0)
+
 
 GAP_LINE = '{"kind":"gap","payload":"%s","ts":"2021-01-0%dT00:00:00Z"}\n'
+RESOLUTION_LINE = '{"kind":"resolution","payload":["1.1.1.1"],"ts":"2021-01-01T00:00:00Z"}\n'
 
 
 class TestStoreFiles:
@@ -222,6 +251,89 @@ class TestStoreFiles:
         (tmp_path / "x.com.jsonl").write_text(text)
         with pytest.raises(ValueError):
             TimelineStore(tmp_path).load("x.com")
+
+    @pytest.mark.parametrize("head,line", [
+        ("", '{"kind":"probe","payload":null,"ts":"2021-01-01T00:00:00Z"}'),
+        ("", '["x"]'),
+        (RESOLUTION_LINE,
+         '{"kind":"probe","payload":{"alive":"yes","detail":7},"ts":"2021-01-01T00:00:00Z"}'),
+        (RESOLUTION_LINE, '{"kind":"note","payload":"x","ts":"2021-01-01T00:00:00Z"}'),
+        ("", '{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z","x":1}'),
+        ("", '{"kind":"gap","payload":"r","ts":20210101}'),
+        ("", '{"kind":["gap"],"payload":"r","ts":"2021-01-01T00:00:00Z"}'),
+        ("", '{"kind":"resolution","payload":["1.1.1.1",7],"ts":"2021-01-01T00:00:00Z"}'),
+        ("", '{"kind":"whois","payload":{"registrant":"r"},"ts":"2021-01-01T00:00:00Z"}'),
+        (RESOLUTION_LINE, RESOLUTION_LINE[:-1]),
+        ("", "[" * 100_000 + "]" * 100_000),
+    ], ids=["null-payload", "not-an-object", "wrong-value-types", "unknown-kind",
+            "extra-key", "number-ts", "list-kind", "number-ip", "partial-whois",
+            "repeated-tick", "deep-nesting"])
+    def test_wrong_shaped_line_raises_with_its_place(self, tmp_path, head, line):
+        path = tmp_path / "x.com.jsonl"
+        path.write_text(head + line + "\n")
+        store = TimelineStore(tmp_path)
+        lineno = 2 if head else 1
+        with pytest.raises(ValueError, match=rf"x\.com\.jsonl, line {lineno}: "):
+            store.load("x.com")
+
+
+# strings that JSON must escape, or that the ASCII encoder writes as escapes
+STORE_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\u2028", "\x7f"]),
+    st.integers(0, 0x1F).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    st.integers(0x10000, 0x10FFFF).map(chr),
+    st.characters()), max_size=8)
+STORE_EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("resolution"),
+              st.none() | st.lists(STORE_TEXT, max_size=3, unique=True)),
+    st.tuples(st.just("probe"), st.tuples(st.booleans(), STORE_TEXT)),
+    st.tuples(st.just("gap"), STORE_TEXT),
+    st.tuples(st.just("whois"), st.tuples(STORE_TEXT, STORE_TEXT, STORE_TEXT)),
+), max_size=12)
+
+
+def _json_round_trip(s: str) -> str:
+    # a high surrogate followed by a low one is written as two escapes,
+    # which any JSON reader takes back as one non-BMP character
+    return json.loads(json.dumps(s))
+
+
+class TestStoreLines:
+    @settings(max_examples=300, deadline=None)
+    @given(STORE_EVENTS)
+    def test_lines_equal_json_dumps_and_load_back(self, events):
+        want, lines, rt = DomainTimeline(domain="x.com"), [], _json_round_trip
+        with tempfile.TemporaryDirectory() as root:
+            store = TimelineStore(root)
+            for day, (kind, value) in enumerate(events):
+                ts = utc(2021, 1, 1) + timedelta(days=day)
+                if kind == "resolution":
+                    store.append_resolution(
+                        "x.com", Resolution(ts, None if value is None else frozenset(value)))
+                    payload = None if value is None else sorted(value)
+                    want.add_resolution(
+                        Resolution(ts, None if value is None else frozenset(map(rt, value))))
+                elif kind == "probe":
+                    # an alive probe needs an earlier resolution with addresses
+                    alive, detail = value[0] and want._first_resolved is not None, value[1]
+                    store.append_probe("x.com", Probe(ts, alive, detail))
+                    payload = {"alive": alive, "detail": detail}
+                    want.add_probe(Probe(ts, alive, rt(detail)))
+                elif kind == "gap":
+                    store.append_gap("x.com", ts, value)
+                    payload = value
+                    want.gaps.append((ts, rt(value)))
+                else:
+                    store.set_whois("x.com", ts, WhoisRecord(*value))
+                    payload = dict(zip(("registrant", "country", "created"), value))
+                    want.whois = WhoisRecord(*map(rt, value))
+                record = {"ts": ts.strftime(STORE_FMT), "kind": kind, "payload": payload}
+                lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            store.close()
+            path = Path(root) / "x.com.jsonl"
+            assert (path.read_text(encoding="ascii") if events else "") == "".join(lines)
+            assert store.load("x.com") == want
 
 
 class TestSchedule:
@@ -318,6 +430,28 @@ class TestSchedule:
                      timedelta(days=1), ScriptedResolver({}), ScriptedProber({}),
                      None, store)
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_line_goes_through_append(self, tmp_path, monkeypatch):
+        # the traced benchmark times TimelineStore.append and counts its gaps
+        calls, append = [], TimelineStore.append
+
+        def counting(self, domain, record):
+            calls.append((domain, record["kind"]))
+            return append(self, domain, record)
+
+        monkeypatch.setattr(TimelineStore, "append", counting)
+        plan = {"a.com": (["gap", ["1.1.1.1"], ["1.1.1.1"], None], [200, "gap"]),
+                "b.com": ([["2.2.2.2"], [], "gap", ["2.2.2.2"]], [503, None])}
+        out = schedule(sorted(plan), Window(utc(2021, 1, 1), utc(2021, 1, 4)),
+                       timedelta(days=1),
+                       ScriptedResolver({d: r for d, (r, _) in plan.items()}),
+                       ScriptedProber({d: p for d, (_, p) in plan.items()}),
+                       ScriptedWhois({"a.com": WhoisRecord("r")}), TimelineStore(tmp_path))
+        written = [(p.name[:-len(".jsonl")], json.loads(line)["kind"])
+                   for p in sorted(tmp_path.iterdir()) for line in p.read_text().splitlines()]
+        assert calls == written
+        gaps = sum(kind == "gap" for _, kind in calls)
+        assert gaps == sum(len(t.gaps) for t in out.values()) == 3
 
 
 ANSWERS = st.one_of(st.just("gap"), st.none(), st.just([]),
