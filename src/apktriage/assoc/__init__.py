@@ -8,7 +8,6 @@ from apktriage.assoc.graph import (
     DuplicateSampleId,
     build_graph,
     graph_to_json,
-    seed_neighborhood,
 )
 from apktriage.assoc.rules import (
     assoc_signature,
@@ -22,7 +21,7 @@ from apktriage.assoc.stats import GroupRow, group_stats, group_table
 __all__ = [
     "SampleFeatures", "features_from_json", "read_features_jsonl",
     "AssociationGraph", "DuplicateSampleId", "build_graph", "graph_to_json",
-    "seed_neighborhood", "assoc_signature", "assoc_snapshot",
+    "assoc_signature", "assoc_snapshot",
     "fired_rules", "overlap", "shared_ip",
     "GroupRow", "group_stats", "group_table",
 ]

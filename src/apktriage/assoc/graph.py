@@ -1,36 +1,42 @@
 """Association graph construction.
 
 A pair of samples becomes an edge carrying the rules that fire on it.
-``fired_rules`` is evaluated only on candidate pairs: samples that share
-at least one blocking key. Each rule implies a shared key, so blocking
-loses no edge:
+Each sample is posted under blocking keys in one table per rule, and
+each rule is decided from the keys of its own table that a pair shares,
+so only pairs that share a key are looked at:
 
-- Signature: equal developer fingerprints, or at least ``k`` equal
-  non-blank DN fields, which means a shared ``k``-subset of
-  ``(field, stripped value)`` pairs (``k = MIN_SIGNATURE_FIELD_MATCHES``).
-- Url: an overlap above 0 needs a shared registrable domain.
+- Signature: an equal developer fingerprint, or a shared ``k``-subset of
+  the non-blank ``(DN field, stripped value)`` pairs, which is exactly
+  ``k`` or more equal non-blank fields (``k = MIN_SIGNATURE_FIELD_MATCHES``).
+- Url: the number of registrable-domain postings a pair shares is
+  ``|a & b|``, so the overlap coefficient comes from that count as
+  ``overlap`` computes it, without intersecting the sets.
 - SharedIp: a shared resolved IP.
 - Snapshot: a pair within Hamming distance ``d`` agrees exactly on at
   least one of ``d + 1`` blocks of the 64-bit dHash (pigeonhole;
-  ``d = SNAPSHOT_MAX_BITS``).
+  ``d = SNAPSHOT_MAX_BITS``). A shared block makes a pair only a
+  candidate: this is the one rule checked again, by popcount.
 
-Groups are the connected components of the edge set, so the output is
-independent of input ordering. ``seed_neighborhood`` gives the samples
-within ``i_max`` hops of one seed.
+Keys in different tables never meet, so a domain equal to an IP or a DN
+value links nothing. ``fired_rules`` in ``rules.py`` is the per-pair
+reference these decisions agree with. Groups are the connected
+components of the edge set, so the output is independent of input
+ordering.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from json.encoder import encode_basestring_ascii as _quote
 
 from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
-from apktriage.assoc.rules import (MIN_SIGNATURE_FIELD_MATCHES, SNAPSHOT_MAX_BITS,
-                                   fired_rules)
+from apktriage.assoc.rules import (MIN_SIGNATURE_FIELD_MATCHES, RULE_SHARED_IP,
+                                   RULE_SIGNATURE, RULE_SNAPSHOT, RULE_URL,
+                                   SNAPSHOT_MAX_BITS, URL_OVERLAP_THRESHOLD,
+                                   assoc_snapshot)
 
 
 class DuplicateSampleId(ValueError):
@@ -42,13 +48,6 @@ class AssociationGraph:
     nodes: tuple[str, ...]  # sorted sample ids
     edges: tuple[tuple[str, str, tuple[str, ...]], ...]  # (a, b, rules), a < b
     groups: tuple[tuple[str, ...], ...]  # connected components, each sorted
-
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
 
 
 def _components(nodes, adj) -> tuple[tuple[str, ...], ...]:
@@ -80,34 +79,52 @@ def _snapshot_blocks(d: int) -> list[tuple[int, int]]:
 
 _SNAPSHOT_BLOCKS = _snapshot_blocks(SNAPSHOT_MAX_BITS)
 
+# the fired rules, in canonical order, for each (Signature, Url, SharedIp,
+# Snapshot) combination of hits
+_RULES = {hits: tuple(r for r, hit in zip(
+    (RULE_SIGNATURE, RULE_URL, RULE_SHARED_IP, RULE_SNAPSHOT), hits) if hit)
+    for hits in product((False, True), repeat=4)}
 
-def _blocking_keys(s: SampleFeatures) -> set:
-    """One key per way a rule could fire for s (see the module docstring)."""
-    keys = set()
+
+def _signature_keys(s: SampleFeatures) -> list:
+    """The fingerprint (a str) and every k-subset of the non-blank,
+    stripped DN pairs (tuples), so the two kinds of key never collide."""
     sig = s.developer_signature
-    if sig is not None:
-        keys.add(("fp", sig.fingerprint))
-        dn = [(f, v) for f in DN_FIELDS if (v := sig.dn_fields.get(f, "").strip())]
-        keys.update(("dn", c)
-                    for c in combinations(dn, MIN_SIGNATURE_FIELD_MATCHES))
-    keys.update(("dom", d) for d in s.url_set.domains)
-    keys.update(("ip", ip) for ip in s.resolved_ips)
-    keys.update(("snap", i, (v.hash_bits >> lo) & mask)
-                for v in s.fingerprints for i, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS))
-    return keys
+    if sig is None:
+        return []
+    dn = [(f, v) for f in DN_FIELDS if (v := sig.dn_fields.get(f, "").strip())]
+    return [sig.fingerprint, *combinations(dn, MIN_SIGNATURE_FIELD_MATCHES)]
 
 
-def _candidate_pairs(ordered: list[SampleFeatures]) -> Iterator[tuple[int, int]]:
-    """Yield index pairs (i, j), i < j, of samples sharing a blocking key."""
-    postings: dict[tuple, list[int]] = defaultdict(list)
+def _fired_pairs(ordered: list[SampleFeatures]) -> list[tuple[int, int, tuple[str, ...]]]:
+    """(i, j, rules) for every index pair i < j on which a rule fires."""
+    by_sig, by_dom, by_ip, by_snap = (defaultdict(list) for _ in range(4))
+    n_domains: list[int] = []
+    fired = []
     for j, s in enumerate(ordered):
-        earlier: set[int] = set()
-        for key in _blocking_keys(s):
-            posting = postings[key]
-            earlier.update(posting)
+        domains = s.url_set.domains
+        snap_keys = {(b, (v.hash_bits >> lo) & mask) for v in s.fingerprints
+                     for b, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS)}
+        sig_p = [by_sig[k] for k in _signature_keys(s)]
+        dom_p = [by_dom[d] for d in domains]
+        ip_p = [by_ip[ip] for ip in s.resolved_ips]
+        snap_p = [by_snap[k] for k in snap_keys]
+        # earlier samples only: j joins its postings after they are read
+        sig_hits = set().union(*sig_p)
+        shared_domains = Counter(chain.from_iterable(dom_p))
+        ip_hits = set().union(*ip_p)
+        snap_cands = set().union(*snap_p)
+        for posting in chain(sig_p, dom_p, ip_p, snap_p):
             posting.append(j)
-        for i in earlier:
-            yield i, j
+        n = len(domains)
+        n_domains.append(n)
+        url_hits = {i for i, c in shared_domains.items()
+                    if c / min(n_domains[i], n) >= URL_OVERLAP_THRESHOLD}
+        snap_hits = {i for i in snap_cands if assoc_snapshot(ordered[i], s)}
+        fired.extend((i, j, _RULES[i in sig_hits, i in url_hits, i in ip_hits, i in snap_hits])
+                     for i in sig_hits | url_hits | ip_hits | snap_hits)
+    fired.sort()
+    return fired
 
 
 def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
@@ -119,33 +136,13 @@ def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
     nodes = tuple(s.sample_id for s in ordered)
     edges = []
     adj: dict[str, set[str]] = {n: set() for n in nodes}
-    fired = sorted((i, j, rules) for i, j in _candidate_pairs(ordered)
-                   if (rules := fired_rules(ordered[i], ordered[j])))
-    for i, j, rules in fired:
+    for i, j, rules in _fired_pairs(ordered):
         a, b = nodes[i], nodes[j]
         edges.append((a, b, rules))
         adj[a].add(b)
         adj[b].add(a)
     return AssociationGraph(nodes=nodes, edges=tuple(edges),
                             groups=_components(nodes, adj))
-
-
-def seed_neighborhood(g: AssociationGraph, seed: str, i_max: int) -> tuple[str, ...]:
-    """Samples reachable from a seed within i_max association hops."""
-    if seed not in g.nodes:
-        raise KeyError(seed)
-    adj = g.adjacency()
-    depths = {seed: 0}
-    queue = deque([seed])
-    while queue:
-        u = queue.popleft()
-        if depths[u] >= i_max:
-            continue
-        for v in adj[u]:
-            if v not in depths:
-                depths[v] = depths[u] + 1
-                queue.append(v)
-    return tuple(sorted(depths))
 
 
 def _array(parts, indent: int) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,6 @@ from apktriage.assoc import (
     graph_to_json,
     group_stats,
     overlap,
-    seed_neighborhood,
 )
 from apktriage.assoc.rules import SNAPSHOT_MAX_BITS
 from apktriage.extract.snapshot import VisualFingerprint
@@ -251,6 +251,57 @@ IPS_ST = st.frozensets(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
 NOTHING = st.just(None)
 
 
+def workload_shaped_corpus(rng, d=SNAPSHOT_MAX_BITS):
+    """500 samples shaped like the benchmark's association corpus: two
+    dense groups whose members share DN triples and, mostly, one
+    fingerprint; domain sets overlapping by exactly 7 of 10 (fires) and
+    2 of 3 (does not); shared IPs; and hashes 0, d or d + 1 bits from a
+    few bases, flipped at random or one to a block of an even split, so
+    that d flips leave a single block of the d + 1 unchanged."""
+    pool_ips = [f"10.1.0.{i}" for i in range(40)]
+    bases = [rng.getrandbits(64) for _ in range(4)]
+
+    def near(base):
+        flips = rng.choice([0, d, d + 1])
+        bits = (rng.sample(range(64), flips) if rng.random() < 0.5
+                else [64 * i // flips for i in range(flips)])
+        for bit in bits:
+            base ^= 1 << bit
+        return base
+
+    def extras():
+        return dict(resolved_ips=set(rng.sample(pool_ips, 1)) if rng.random() < 0.15 else (),
+                    hashes=[near(rng.choice(bases))] if rng.random() < 0.2 else
+                    [rng.getrandbits(64)] if rng.random() < 0.3 else [])
+
+    samples = []
+    for g in range(2):
+        dn = {f: f"{f}-{g}" for f in DN_FIELDS[:5]}
+        for m in range(120):
+            member_dn = {f: v if rng.random() < 0.7 else rng.choice(["", " ", f" {v}", "x"])
+                         for f, v in dn.items()}
+            samples.append(make_sample(
+                f"g{g}-{m:03d}", dn=member_dn,
+                fingerprint=f"group-{g}" if rng.random() < 0.7 else None,
+                domains={f"g{g}-{rng.randrange(12)}.com" for _ in range(rng.randint(1, 4))},
+                **extras()))
+    ten = [f"t{i}.net" for i in range(13)]
+    samples += [make_sample("u7of10-a", domains=ten[:10]),
+                make_sample("u7of10-b", domains=ten[:7] + ten[10:]),
+                make_sample("u2of3-a", domains=["p.org", "q.org", "r.org"]),
+                make_sample("u2of3-b", domains=["p.org", "q.org", "s.org", "z.org"])]
+    while len(samples) < 500:
+        i = len(samples)
+        sig_class = rng.choice([CLASS_DEVELOPER, CLASS_DEBUG])
+        samples.append(make_sample(
+            f"s{i:03d}", fingerprint=rng.choice(["debug", None, None]), sig_class=sig_class,
+            domains=set(rng.sample(ten, rng.choice([3, 10]))) if rng.random() < 0.3
+            else {f"own{i}.com"},
+            **extras()))
+    rng.shuffle(samples)
+    return samples
+
+
 class TestBlocking:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -276,6 +327,28 @@ class TestBlocking:
                    for i, (dn, fp, cls, doms, ips, hashes)
                    in enumerate(data.draw(st.lists(row, min_size=2, max_size=10)))]
         assert build_graph(samples).edges == all_pairs_edges(samples)
+
+    def test_workload_shaped_corpus_matches_all_pairs(self):
+        samples = workload_shaped_corpus(random.Random(1606))
+        assert len(samples) == 500
+        edges = build_graph(samples).edges
+        assert edges == all_pairs_edges(samples)
+        # every kind of link the corpus plants is among the edges
+        assert {r for _, _, rules in edges for r in rules} == {
+            "Signature", "Url", "SharedIp", "Snapshot"}
+        assert ("u7of10-a", "u7of10-b", ("Url",)) in edges
+        assert not any(a == "u2of3-a" and b == "u2of3-b" for a, b, _ in edges)
+
+    def test_key_kinds_never_meet(self):
+        # one string as a fingerprint, a domain, a resolved IP and a DN
+        # value: no two samples share a key of one kind
+        v = "10.0.0.1"
+        samples = [make_sample("fp", fingerprint=v),
+                   make_sample("dn", dn={"commonName": v, "organization": v,
+                                         "locality": v}),
+                   make_sample("dom", domains={v}),
+                   make_sample("ip", resolved_ips={v})]
+        assert build_graph(samples).edges == all_pairs_edges(samples) == ()
 
     def test_padded_dn_fields_link(self):
         # equal once stripped, different raw: the DN keys must be stripped
@@ -323,28 +396,45 @@ def brute_components(nodes, edges):
     return tuple(out)
 
 
-def bfs_oracle_edges(nodes, edges, i_max):
-    """Reference emission semantics: an edge is emitted when some seed's
-    bounded BFS reaches one endpoint at depth < i_max."""
+def adjacency(nodes, edges):
+    """Neighbour sets of an undirected edge list."""
     adj = {n: set() for n in nodes}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
+    return adj
+
+
+def bfs_depths(adj, seed, i_max):
+    """Hop depth of each node within i_max hops of seed."""
+    depths = {seed: 0}
+    queue = deque([seed])
+    while queue:
+        u = queue.popleft()
+        if depths[u] >= i_max:
+            continue
+        for v in adj[u]:
+            if v not in depths:
+                depths[v] = depths[u] + 1
+                queue.append(v)
+    return depths
+
+
+def seed_neighborhood(g, seed, i_max):
+    """Samples reachable from a seed within i_max association hops."""
+    if seed not in g.nodes:
+        raise KeyError(seed)
+    adj = adjacency(g.nodes, ((a, b) for a, b, _ in g.edges))
+    return tuple(sorted(bfs_depths(adj, seed, i_max)))
+
+
+def bfs_oracle_edges(nodes, edges, i_max):
+    """Reference emission semantics: an edge is emitted when some seed's
+    bounded BFS reaches one endpoint at depth < i_max."""
+    adj = adjacency(nodes, edges)
     emitted = set()
     for seed in nodes:
-        depths = {seed: 0}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if depths[u] >= i_max:
-                    continue
-                for v in adj[u]:
-                    if v not in depths:
-                        depths[v] = depths[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        for u, d in depths.items():
+        for u, d in bfs_depths(adj, seed, i_max).items():
             if d < i_max:
                 for v in adj[u]:
                     emitted.add((min(u, v), max(u, v)))

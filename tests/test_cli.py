@@ -108,6 +108,27 @@ def test_assoc_duplicate_ids_are_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "X, Y" in err
 
 
+GOOD_FEATURES = {"sample_id": "ok", "signature": None, "urls": [], "domains": [],
+                 "ip_literals": [], "resolved_ips": [], "fingerprints": [], "label": None}
+
+
+@pytest.mark.parametrize("bad", [
+    "null",
+    '["x"]',
+    "[" * 100_000 + "]" * 100_000,
+    json.dumps({"sample_id": "b", "urls": 5}),
+    json.dumps({"sample_id": "b", "signature": {"fingerprint": "f", "dn_fields": 5}}),
+    json.dumps({"sample_id": "b", "signature": {"fingerprint": "f",
+                                                "dn_fields": {"commonName": 5}}}),
+    json.dumps({"sample_id": "b", "label": {"top": []}}),
+], ids=["null", "list", "deep", "urls-int", "dn-fields-int", "dn-value-int", "label-top-list"])
+def test_assoc_malformed_features_line_is_an_input_error(tmp_path, capsys, bad):
+    features = tmp_path / "features.jsonl"
+    features.write_text(json.dumps(GOOD_FEATURES) + "\n\n" + bad + "\n")
+    assert main(["assoc", str(features), "--output", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {features}, line 3: ")
+
+
 def test_scan_output_into_missing_directory(tmp_path):
     apk = tmp_path / "sample.apk"
     apk.write_bytes(build_apk(package="com.a"))
