@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from apktriage.apkcore.certs import CLASS_DEVELOPER, SignerIdentity
 from apktriage.extract.snapshot import VisualFingerprint
 from apktriage.extract.urls import UrlSet
+from apktriage.util import read_json_lines
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ def _fingerprint(fp) -> VisualFingerprint:
     return VisualFingerprint(int(bits, 16), source)
 
 
-def features_from_json(line: str) -> SampleFeatures:
-    """One features record; ``ValueError`` when the line is not one."""
-    obj = json.loads(line)
+def features_from_json(obj) -> SampleFeatures:
+    """One features record from its decoded JSON line; ``ValueError`` when
+    ``obj`` is not one."""
     if type(obj) is not dict:
         raise ValueError("a features record is a JSON object")
     if type(obj.get("sample_id")) is not str:
@@ -87,13 +87,4 @@ def features_from_json(line: str) -> SampleFeatures:
 
 
 def read_features_jsonl(path) -> list[SampleFeatures]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(features_from_json(line))
-                except (ValueError, RecursionError) as e:  # json recurses on nesting
-                    raise ValueError(f"{path}, line {n}: {e}") from None
-    return out
+    return read_json_lines(path, features_from_json)

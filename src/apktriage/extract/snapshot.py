@@ -59,18 +59,3 @@ def snapshot_fingerprint(pixels, source: str = "") -> VisualFingerprint:
             bits = (bits << 1) | (right > left)
     return VisualFingerprint(hash_bits=bits, source=source)
 
-
-def load_grayscale(path) -> list[bytes]:
-    """Decode a PNG/JPEG snapshot file to grayscale rows, one byte a pixel."""
-    try:
-        from PIL import Image
-    except ImportError as e:
-        raise ImageUndecodable(f"Pillow not installed: {e}") from None
-    try:
-        with Image.open(path) as im:
-            gray = im.convert("L")
-            width, height = gray.size
-            data = gray.tobytes()
-    except Exception as e:
-        raise ImageUndecodable(str(e)) from None
-    return [data[i * width:(i + 1) * width] for i in range(height)]

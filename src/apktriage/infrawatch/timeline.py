@@ -15,7 +15,6 @@ the file and the line number.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -23,6 +22,8 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+
+from apktriage.util import json_lines
 
 
 class EmptyTimeline(Exception):
@@ -209,36 +210,33 @@ class TimelineStore:
         path = self._path(domain)
         if not path.exists():
             return t
+
+        def add(rec) -> None:
+            if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
+                raise ValueError("a record is an object of exactly kind, payload and ts")
+            kind, p, ts = rec["kind"], rec["payload"], rec["ts"]
+            if type(ts) is not str:
+                raise ValueError(f"bad store timestamp {ts!r}")
+            ts = _parse_ts(ts)
+            if kind == "resolution" and (p is None or type(p) is list
+                                         and all(type(ip) is str for ip in p)):
+                t.add_resolution(Resolution(ts, None if p is None else frozenset(p)))
+            elif (kind == "probe" and type(p) is dict and p.keys() == _PROBE_KEYS
+                  and type(p["alive"]) is bool and type(p["detail"]) is str):
+                t.add_probe(Probe(ts, p["alive"], p["detail"]))
+            elif kind == "gap" and type(p) is str:
+                t.gaps.append((ts, p))
+            elif (kind == "whois" and type(p) is dict and p.keys() == _WHOIS_KEYS
+                  and all(type(v) is str for v in p.values())):
+                t.whois = WhoisRecord(p["registrant"], p["country"], p["created"])
+            elif kind in _KINDS:
+                raise ValueError(f"bad {kind} payload {p!r}")
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+
         with open(path, encoding="utf-8", newline="") as f:
             lines = f.read().split("\n")
-        for n, line in enumerate(lines[:-1], 1):  # the last piece is "" or unterminated
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
-                    raise ValueError("a record is an object of exactly kind, payload and ts")
-                kind, p, ts = rec["kind"], rec["payload"], rec["ts"]
-                if type(ts) is not str:
-                    raise ValueError(f"bad store timestamp {ts!r}")
-                ts = _parse_ts(ts)
-                if kind == "resolution" and (p is None or type(p) is list
-                                             and all(type(ip) is str for ip in p)):
-                    t.add_resolution(Resolution(ts, None if p is None else frozenset(p)))
-                elif (kind == "probe" and type(p) is dict and p.keys() == _PROBE_KEYS
-                      and type(p["alive"]) is bool and type(p["detail"]) is str):
-                    t.add_probe(Probe(ts, p["alive"], p["detail"]))
-                elif kind == "gap" and type(p) is str:
-                    t.gaps.append((ts, p))
-                elif (kind == "whois" and type(p) is dict and p.keys() == _WHOIS_KEYS
-                      and all(type(v) is str for v in p.values())):
-                    t.whois = WhoisRecord(p["registrant"], p["country"], p["created"])
-                elif kind in _KINDS:
-                    raise ValueError(f"bad {kind} payload {p!r}")
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, RecursionError) as e:  # json recurses on nesting
-                raise ValueError(f"{path}, line {n}: {e}") from None
+        json_lines(path, lines[:-1], add)  # the last piece is "" or unterminated
         return t
 
     def domains(self) -> list[str]:

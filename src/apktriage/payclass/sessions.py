@@ -8,13 +8,12 @@ single unlicensed domain out over many merchants) to evade tracing.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
-from apktriage.util import pct
+from apktriage.util import pct, read_json_lines
 
 KIND_THIRD_PARTY = "ThirdParty"
 KIND_FOURTH_PARTY = "FourthParty"
@@ -148,24 +147,38 @@ def channel_breakdown(classifications):
     return rows, None
 
 
+def _observation(rec) -> PaymentObservation:
+    """One observation from its decoded JSON line; ``ValueError`` when
+    ``rec`` is not one."""
+    if type(rec) is not dict:
+        raise ValueError("an observation is a JSON object")
+    for key in ("session_id", "payment_domain", "recipient_id"):
+        if type(rec.get(key)) is not str:
+            raise ValueError(f"{key!r} must be a string")
+    hint, index, amount = (rec.get("channel_hint", CHANNEL_UNKNOWN),
+                           rec.get("request_index"), rec.get("amount"))
+    if type(hint) is not str:
+        raise ValueError("'channel_hint' must be a string")
+    if type(index) is not int:
+        raise ValueError("'request_index' must be an integer")
+    if type(amount) not in (str, int, float):
+        raise ValueError("'amount' must be a string or a number")
+    try:
+        value = Decimal(str(amount))
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise ValueError(f"'amount' must be a finite decimal, got {amount!r}")
+    return PaymentObservation(session_id=rec["session_id"], request_index=index,
+                              amount=value, payment_domain=rec["payment_domain"],
+                              recipient_id=rec["recipient_id"], channel_hint=hint)
+
+
 def read_observations_jsonl(path) -> dict[str, list[PaymentObservation]]:
     """Group a JSON-lines observation file by session."""
     sessions: dict[str, list[PaymentObservation]] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            o = PaymentObservation(
-                session_id=rec["session_id"],
-                request_index=int(rec["request_index"]),
-                amount=Decimal(str(rec["amount"])),
-                payment_domain=rec["payment_domain"],
-                recipient_id=rec["recipient_id"],
-                channel_hint=rec.get("channel_hint", CHANNEL_UNKNOWN),
-            )
-            sessions.setdefault(o.session_id, []).append(o)
+    for o in read_json_lines(path, _observation):
+        sessions.setdefault(o.session_id, []).append(o)
     return sessions
 
 

@@ -135,15 +135,20 @@ def cmd_watch(args) -> int:
         domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
 
     if args.script:
-        with open(args.script, encoding="utf-8") as f:
-            script = json.load(f)
-        resolver = ScriptedResolver(script.get("resolutions", {}))
-        prober = ScriptedProber(script.get("probes", {}))
+        script = _json_object(args.script)
+        resolutions, probes, records = (script.get(key, {})
+                                        for key in ("resolutions", "probes", "whois"))
+        if (not all(type(m) is dict for m in (resolutions, probes, records))
+                or not all(type(r) is dict for r in records.values())):
+            raise ValueError(f"{args.script}: 'resolutions', 'probes' and 'whois' "
+                             "must be objects, and so must each whois record")
+        resolver = ScriptedResolver(resolutions)
+        prober = ScriptedProber(probes)
         whois = ScriptedWhois({
             d: WhoisRecord(registrant=r.get("registrant", ""),
                            country=r.get("country", ""),
                            created=r.get("created", ""))
-            for d, r in script.get("whois", {}).items()})
+            for d, r in records.items()})
     else:
         resolver, prober, whois = DnsResolver(), HttpProber(), None
 
@@ -153,8 +158,10 @@ def cmd_watch(args) -> int:
                  for d in store.domains()}
     mtimes = {}
     if args.manifest_mtimes:
-        with open(args.manifest_mtimes, encoding="utf-8") as f:
-            mtimes = {k: _parse_ts(v) for k, v in json.load(f).items()}
+        mtimes = _json_object(args.manifest_mtimes)
+        if not all(type(v) is str for v in mtimes.values()):
+            raise ValueError(f"{args.manifest_mtimes}: must be an object of strings")
+        mtimes = {k: _parse_ts(v) for k, v in mtimes.items()}
     records = [lifespan(t, mtimes.get(d, window.start))
                for d, t in sorted(timelines.items()) if t.probes]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
@@ -203,6 +210,19 @@ def cmd_report(args) -> int:
         return EXIT_INPUT
     emit_report(args.output, *corpus_table(corpus_report(labels)))
     return EXIT_OK
+
+
+def _json_object(path) -> dict:
+    """The JSON object in the file at ``path``; any other content is a
+    ``ValueError`` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            obj = json.load(f)
+        except (ValueError, RecursionError) as e:  # json recurses on nesting
+            raise ValueError(f"{path}: {e}") from None
+    if type(obj) is not dict:
+        raise ValueError(f"{path}: must be a JSON object")
+    return obj
 
 
 def _parse_ts(value) -> datetime:
@@ -267,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

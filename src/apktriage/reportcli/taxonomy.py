@@ -8,8 +8,9 @@ never auto-classifies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from apktriage.util import read_json_lines
 
 TOP_SEX = "Sex"
 TOP_GAMBLING = "Gambling"
@@ -133,20 +134,26 @@ def validate_label(label: TaxonomyLabel) -> list[str]:
     return violations
 
 
+def _label(rec) -> TaxonomyLabel:
+    """One label from its decoded JSON line; ``ValueError`` when ``rec`` is
+    not one. A null ``top`` or ``sub`` is read, and ``validate_label``
+    reports it."""
+    if type(rec) is not dict:
+        raise ValueError("a label is a JSON object")
+    if type(rec.get("sample_id")) is not str:
+        raise ValueError("'sample_id' must be a string")
+    for key in ("top", "sub"):
+        if key not in rec or rec[key] is not None and type(rec[key]) is not str:
+            raise ValueError(f"{key!r} must be a string or null")
+    tactics, behavior = rec.get("tactics", []), rec.get("behavior", {})
+    if type(tactics) is not list or not all(type(t) is str for t in tactics):
+        raise ValueError("'tactics' must be a list of strings")
+    if type(behavior) is not dict or not all(type(v) is str for v in behavior.values()):
+        raise ValueError("'behavior' must be an object of strings")
+    return TaxonomyLabel(sample_id=rec["sample_id"], top=rec["top"], sub=rec["sub"],
+                         tactics=frozenset(tactics), behavior=behavior)
+
+
 def read_labels_jsonl(path) -> list[TaxonomyLabel]:
     """Label file: JSON-lines {sample_id, top, sub, tactics[], behavior{}}."""
-    labels = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            labels.append(TaxonomyLabel(
-                sample_id=rec["sample_id"],
-                top=rec["top"],
-                sub=rec["sub"],
-                tactics=frozenset(rec.get("tactics", ())),
-                behavior=dict(rec.get("behavior", {})),
-            ))
-    return labels
+    return read_json_lines(path, _label)

@@ -1,5 +1,6 @@
 """Small shared helpers."""
 
+import json
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 
@@ -11,6 +12,29 @@ def read_data_text(path, name: str) -> str:
         return resources.files("apktriage.data").joinpath(name).read_text(encoding="utf-8")
     with open(path, encoding="utf-8") as f:
         return f.read()
+
+
+def json_lines(path, lines, parse) -> list:
+    """``parse`` of each decoded non-blank line of ``lines``, the lines of
+    the file at ``path``. ``parse`` checks the shape of its object and
+    raises ``ValueError`` for any other; that, a line that is not JSON, or
+    one nested too deep for ``json`` is a ``ValueError`` naming the file
+    and the line number."""
+    out = []
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if line:
+            try:
+                out.append(parse(json.loads(line)))
+            except (ValueError, RecursionError) as e:  # json recurses on nesting
+                raise ValueError(f"{path}, line {n}: {e}") from None
+    return out
+
+
+def read_json_lines(path, parse) -> list:
+    """``json_lines`` over the JSON-lines file at ``path``."""
+    with open(path, encoding="utf-8") as f:
+        return json_lines(path, f, parse)
 
 
 def round_half_up(value: float, places: int) -> float:

@@ -493,13 +493,13 @@ class TestGroupStats:
 
 
 def test_features_from_json_reads_every_field():
-    line = json.dumps({
+    obj = {
         "sample_id": "rt",
         "signature": {"fingerprint": "fp1", "dn_fields": FULL_DN,
                       "signature_class": CLASS_DEVELOPER},
         "urls": ["http://x.com/a"], "ip_literals": [], "domains": ["x.com"],
         "resolved_ips": ["1.2.3.4"], "fingerprints": [{"hash": "0000000000003039"}],
-        "label": {"top": "Sex"}})
-    assert features_from_json(line) == make_sample(
+        "label": {"top": "Sex"}}
+    assert features_from_json(obj) == make_sample(
         "rt", dn=FULL_DN, fingerprint="fp1", domains={"x.com"}, urls={"http://x.com/a"},
         resolved_ips={"1.2.3.4"}, hashes=[12345], label={"top": "Sex"})

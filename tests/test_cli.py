@@ -123,10 +123,58 @@ GOOD_FEATURES = {"sample_id": "ok", "signature": None, "urls": [], "domains": []
     json.dumps({"sample_id": "b", "label": {"top": []}}),
 ], ids=["null", "list", "deep", "urls-int", "dn-fields-int", "dn-value-int", "label-top-list"])
 def test_assoc_malformed_features_line_is_an_input_error(tmp_path, capsys, bad):
-    features = tmp_path / "features.jsonl"
-    features.write_text(json.dumps(GOOD_FEATURES) + "\n\n" + bad + "\n")
-    assert main(["assoc", str(features), "--output", str(tmp_path / "a")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {features}, line 3: ")
+    _assert_bad_line_is_an_input_error(tmp_path, capsys, "assoc", bad)
+
+
+GOOD_LINES = {
+    "assoc": GOOD_FEATURES,
+    "report": {"sample_id": "ok", "top": "Gambling", "sub": "Lotteries",
+               "tactics": ["P1"], "behavior": {"U1": "Major"}},
+    "payclass": {"session_id": "ok", "request_index": 1, "amount": "1.00",
+                 "payment_domain": "pay.example", "recipient_id": "acct-1"},
+}
+
+
+def _assert_bad_line_is_an_input_error(tmp_path, capsys, verb, bad):
+    """``verb`` on a file of a good line, a blank line and ``bad`` exits 1
+    and names the file and line 3."""
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(GOOD_LINES[verb]) + "\n\n" + bad + "\n")
+    argv = [verb, str(path)] + (["--output", str(tmp_path / "o")]
+                                if verb != "payclass" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}, line 3: ")
+
+
+def _with(verb, **fields):
+    return json.dumps(dict(GOOD_LINES[verb], **fields))
+
+
+def _without(verb, key):
+    return json.dumps({k: v for k, v in GOOD_LINES[verb].items() if k != key})
+
+
+HOSTILE_LINES = [
+    (verb, case, bad)
+    for verb, missing in (("assoc", "sample_id"), ("report", "top"),
+                          ("payclass", "amount"))
+    for case, bad in (("null", "null"), ("list", '["x"]'),
+                      ("deep", "[" * 100_000 + "]" * 100_000),
+                      ("missing-" + missing, _without(verb, missing)))
+] + [
+    ("report", "sub-list", _with("report", sub=["x"])),
+    ("report", "tactics-string", _with("report", tactics="P1")),
+    ("payclass", "session-id-list", _with("payclass", session_id=["s"])),
+    ("payclass", "amount-object", _with("payclass", amount={"a": 1})),
+    ("payclass", "amount-nan", _with("payclass", amount="NaN")),
+    ("payclass", "request-index-bool", _with("payclass", request_index=True)),
+]
+
+
+@pytest.mark.parametrize("verb,bad", [(verb, bad) for verb, _case, bad in HOSTILE_LINES],
+                         ids=[f"{verb}-{case}" for verb, case, _bad in HOSTILE_LINES])
+def test_malformed_input_line_is_an_input_error(tmp_path, capsys, verb, bad):
+    _assert_bad_line_is_an_input_error(tmp_path, capsys, verb, bad)
 
 
 def test_scan_output_into_missing_directory(tmp_path):
@@ -418,6 +466,33 @@ def test_watch_wrong_shaped_store_line_is_an_input_error(tmp_path, capsys, line)
     code = _watch(tmp_path, "w", "store", "2021-01-01T00:00:00+00:00", 1, slice(0, 2))
     assert code == 1
     assert "a.example.jsonl, line 1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,body", [
+    ("--manifest-mtimes", "[]"),
+    ("--manifest-mtimes", '{"a.example": 5}'),
+    ("--manifest-mtimes", "{"),
+    ("--script", "[]"),
+    ("--script", '{"resolutions": []}'),
+    ("--script", '{"probes": null}'),
+    ("--script", '{"whois": []}'),
+    ("--script", '{"whois": {"a.example": []}}'),
+    ("--script", "[" * 100_000 + "]" * 100_000),
+], ids=["mtimes-list", "mtimes-int", "mtimes-not-json", "script-list",
+        "script-resolutions-list", "script-probes-null", "script-whois-list",
+        "script-whois-record-list", "script-deep"])
+def test_watch_wrong_shaped_side_input_is_an_input_error(tmp_path, capsys, flag, body):
+    domains = tmp_path / "domains.txt"
+    domains.write_text("a.example\n")
+    side = tmp_path / "side.json"
+    side.write_text(body)
+    argv = ["watch", str(domains), "--store", str(tmp_path / "store"),
+            "--output", str(tmp_path / "w"),
+            "--window-start", "2021-01-01", "--window-end", "2021-01-02", flag, str(side)]
+    if flag != "--script":
+        argv += ["--script", _watch_script(tmp_path / "s.json", slice(None))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {side}: ")
 
 
 def test_watch_rejects_unmappable_domain(tmp_path, capsys):

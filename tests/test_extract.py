@@ -2,7 +2,6 @@
 classification and snapshot-fingerprint tests."""
 
 import random
-import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +23,6 @@ from apktriage.extract import (
     urls,
     urlset_from_strings,
 )
-from apktriage.extract.snapshot import load_grayscale
 from apktriage.extract.urls import _IPV4_RE, _IPV6_RE
 from apktriage.genscan import detect_generator, load_fingerprints
 
@@ -449,20 +447,6 @@ class TestSnapshot:
     def test_rejects_non_grid(self, pixels):
         with pytest.raises(ImageUndecodable):
             snapshot_fingerprint(pixels)
-
-    def test_load_grayscale_without_pillow(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(sys.modules, "PIL", None)  # import fails
-        with pytest.raises(ImageUndecodable, match="Pillow not installed"):
-            load_grayscale(tmp_path / "shot.png")
-
-    def test_load_grayscale_rows(self, tmp_path):
-        Image = pytest.importorskip("PIL.Image")
-        rng = np.random.default_rng(12)
-        grid = rng.integers(0, 256, size=(20, 31)).astype(np.uint8)
-        Image.fromarray(grid).save(tmp_path / "shot.png")  # uint8 2-D: mode "L"
-        rows = load_grayscale(tmp_path / "shot.png")
-        assert [list(r) for r in rows] == grid.tolist()
-        assert snapshot_fingerprint(rows).hash_bits == dhash_oracle.dhash(grid)
 
     @settings(max_examples=300, deadline=None)
     @given(h=st.integers(9, 64), w=st.integers(9, 64),
