@@ -2,7 +2,9 @@
 
 Only identity is extracted; the signature is never cryptographically
 verified. The leaf certificate of each block is the one whose subject
-does not issue any other certificate in the same block.
+does not issue any other certificate in the same block. ``cryptography``
+is imported only where a block is parsed, so a reader of signer records
+never loads it.
 """
 
 from __future__ import annotations
@@ -11,25 +13,16 @@ import json
 from dataclasses import dataclass
 from hashlib import sha256
 
-from cryptography import x509
-from cryptography.hazmat.primitives.serialization import pkcs7, Encoding
-from cryptography.x509.oid import NameOID
-
 from apktriage.apkcore.errors import CertUndecodable
 from apktriage.util import read_data_text
 
 DN_FIELDS = ("commonName", "organizationalUnit", "organization",
              "locality", "state", "country", "email")
 
-_OID_BY_FIELD = {
-    "commonName": NameOID.COMMON_NAME,
-    "organizationalUnit": NameOID.ORGANIZATIONAL_UNIT_NAME,
-    "organization": NameOID.ORGANIZATION_NAME,
-    "locality": NameOID.LOCALITY_NAME,
-    "state": NameOID.STATE_OR_PROVINCE_NAME,
-    "country": NameOID.COUNTRY_NAME,
-    "email": NameOID.EMAIL_ADDRESS,
-}
+# the dotted OIDs of DN_FIELDS, in order: X.520 CN, OU, O, L, ST and C, and
+# the PKCS #9 emailAddress
+_OID_BY_FIELD = dict(zip(DN_FIELDS, ("2.5.4.3", "2.5.4.11", "2.5.4.10", "2.5.4.7",
+                                     "2.5.4.8", "2.5.4.6", "1.2.840.113549.1.9.1")))
 
 SIGNATURE_SUFFIXES = (".RSA", ".DSA", ".EC")
 
@@ -60,17 +53,16 @@ def load_known_signatures() -> list[dict]:
     return json.loads(read_data_text(None, "known_signatures.json"))
 
 
-def _dn_fields(name: x509.Name) -> dict[str, str]:
-    out = {}
-    for field, oid in _OID_BY_FIELD.items():
-        attrs = name.get_attributes_for_oid(oid)
-        if attrs:
-            value = attrs[0].value
-            out[field] = value if isinstance(value, str) else value.decode("utf-8", "replace")
-    return out
+def _dn_fields(name) -> dict[str, str]:
+    """The first value of each DN field in the ``x509.Name`` ``name``; only
+    an X.500 unique identifier has a bytes value, so each is a string."""
+    first = {}
+    for attr in name:
+        first.setdefault(attr.oid.dotted_string, attr.value)
+    return {field: first[oid] for field, oid in _OID_BY_FIELD.items() if oid in first}
 
 
-def _select_leaf(certs: list[x509.Certificate]) -> x509.Certificate:
+def _select_leaf(certs: list):
     # leaf = first certificate whose subject issues no other cert in the block
     for c in certs:
         subject = c.subject.rfc4514_string()
@@ -92,6 +84,7 @@ def classify_signature(fingerprint: str, dn: dict[str, str], known: list[dict]) 
 
 def signer_from_block(block: bytes, known: list[dict]) -> SignerIdentity:
     """Parse one PKCS#7 signature block into a SignerIdentity."""
+    from cryptography.hazmat.primitives.serialization import Encoding, pkcs7
     try:
         certs = pkcs7.load_der_pkcs7_certificates(block)
     except ValueError as e:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from apktriage.apkcore.artifact import ApkArtifact
-from apktriage.util import read_data_text
+from apktriage.util import read_data_text, read_json
 
 RULE_MAIN_ACTIVITY = "main_activity"
 RULE_PACKAGE_PREFIX = "package_prefix"
@@ -67,34 +67,52 @@ class GeneratorMatch:
         return self.fingerprint.generator_id
 
 
-def _parse_fingerprint(obj: dict) -> GeneratorFingerprint:
-    rules = []
-    for r in obj["rules"]:
+def _parse_fingerprint(obj) -> GeneratorFingerprint:
+    if type(obj) is not dict or type(obj.get("generator_id")) is not str:
+        raise ValueError("each fingerprint must be an object with a string generator_id")
+    gid, rules, paths = obj["generator_id"], obj.get("rules"), obj.get("protected_paths", [])
+    cipher = {} if obj.get("cipher") is None else obj["cipher"]
+    if not (type(rules) is list and all(type(r) is dict and type(r.get("kind")) is str
+                                        and type(r.get("value")) is str for r in rules)
+            and type(cipher) is dict and type(cipher.get("algo")) in (str, type(None))
+            and type(cipher.get("key_source")) in (dict, type(None))
+            and type(paths) is list and all(type(p) is str for p in paths)):
+        raise ValueError(f"fingerprint {gid}: rules must be a list of objects with string "
+                         "kind and value, cipher null or an object with a string or null "
+                         "algo and an object key_source, protected_paths a list of strings")
+    for r in rules:
         if r["kind"] not in _RULE_KINDS:
-            raise ValueError(f"unknown rule kind {r['kind']!r} in {obj['generator_id']}")
-        rules.append(EvidenceRule(r["kind"], r["value"]))
+            raise ValueError(f"unknown rule kind {r['kind']!r} in {gid}")
     if not rules:
-        raise ValueError(f"fingerprint {obj['generator_id']} has no evidence rules")
-    cipher = obj.get("cipher") or {}
+        raise ValueError(f"fingerprint {gid} has no evidence rules")
     return GeneratorFingerprint(
-        generator_id=obj["generator_id"],
-        evidence_rules=tuple(rules),
+        generator_id=gid,
+        evidence_rules=tuple(EvidenceRule(r["kind"], r["value"]) for r in rules),
         cipher=CipherScheme(
             algo=cipher.get("algo"),
             key_source=cipher.get("key_source", {"type": "external"}),
         ),
-        protected_paths=tuple(obj.get("protected_paths", ())),
+        protected_paths=tuple(paths),
     )
 
 
-def load_fingerprints(path=None) -> list[GeneratorFingerprint]:
-    text = read_data_text(path, "generators.json")
-    raw = json.loads(text)
+def _parse_db(raw) -> list[GeneratorFingerprint]:
+    if type(raw) is not list:
+        raise ValueError("must be a JSON list of fingerprints")
     fps = [_parse_fingerprint(obj) for obj in raw]
     ids = [fp.generator_id for fp in fps]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate generator_id in fingerprint database")
     return fps
+
+
+def load_fingerprints(path=None) -> list[GeneratorFingerprint]:
+    """The fingerprint database in the JSON file at ``path``, or the
+    shipped one when ``path`` is None; a wrong-shaped file is a
+    ``ValueError`` naming it."""
+    if path is None:
+        return _parse_db(json.loads(read_data_text(None, "generators.json")))
+    return read_json(path, _parse_db)
 
 
 def detect_generator(apk: ApkArtifact, db: list[GeneratorFingerprint]) -> GeneratorMatch | None:

@@ -38,10 +38,17 @@ class WhoisClient(Protocol):
 class _Scripted:
     """Per-domain list of values consumed one per call; the final value
     repeats, an unscripted domain gives None, and the string "gap" raises
-    BackendUnavailable naming the ``backend``."""
+    BackendUnavailable naming the ``backend``. Any other value must pass
+    the subclass's ``_answer``, or construction raises ``ValueError``."""
 
     def __init__(self, script: dict[str, list]):
-        self.script = {d: list(v) for d, v in script.items()}
+        if type(script) is not dict or not all(
+                type(seq) is list and all(v is None or v == "gap" or self._answer(v)
+                                          for v in seq)
+                for seq in script.values()):
+            raise ValueError(f"the {self.backend} script must map each domain to a list "
+                             f'of null, "gap" or {self.answer_kind}')
+        self.script = script
         self._tick: dict[str, int] = {}
 
     def _next(self, domain):
@@ -59,7 +66,11 @@ class _Scripted:
 class ScriptedResolver(_Scripted):
     """Scripted IP sets, one per tick; None entries mean NXDOMAIN."""
 
-    backend = "resolver"
+    backend, answer_kind = "resolver", "a list of address strings"
+
+    @staticmethod
+    def _answer(value) -> bool:
+        return type(value) is list and all(type(ip) is str for ip in value)
 
     def resolve(self, domain, ts):
         value = self._next(domain)
@@ -69,15 +80,29 @@ class ScriptedResolver(_Scripted):
 class ScriptedProber(_Scripted):
     """Scripted HTTP statuses, one per probe; None means no answer."""
 
-    backend = "prober"
+    backend, answer_kind = "prober", "an integer status"
+
+    @staticmethod
+    def _answer(value) -> bool:
+        return type(value) is int  # not bool
 
     def probe(self, domain, ts):
         return self._next(domain)
 
 
 class ScriptedWhois:
-    def __init__(self, records: dict[str, WhoisRecord]):
-        self.records = dict(records)
+    """Scripted WHOIS records: each domain maps to an object whose
+    "registrant", "country" and "created" are strings, missing ones empty."""
+
+    def __init__(self, records: dict[str, dict]):
+        fields = ("registrant", "country", "created")
+        if type(records) is not dict or not all(
+                type(r) is dict and all(type(r.get(f, "")) is str for f in fields)
+                for r in records.values()):
+            raise ValueError("the whois script must map each domain to an object "
+                             "whose registrant, country and created are strings")
+        self.records = {d: WhoisRecord(*(r.get(f, "") for f in fields))
+                        for d, r in records.items()}
 
     def lookup(self, domain):
         return self.records.get(domain)

@@ -29,14 +29,16 @@ def _iter_apks(path: str):
 
 
 def cmd_scan(args) -> int:
-    from apktriage.apkcore import (ApkError, load_dangerous_db, open_apk,
-                                   permission_profile)
+    from apktriage.apkcore.artifact import open_apk
     from apktriage.apkcore.certs import load_known_signatures
-    from apktriage.extract import (classify_paradigm, extract_urls,
-                                   filter_whitelist, load_suffix_list,
-                                   load_whitelist)
-    from apktriage.genscan import (KeyUnavailable, decrypt_assets,
-                                   detect_generator, load_fingerprints)
+    from apktriage.apkcore.errors import ApkError
+    from apktriage.apkcore.permissions import load_dangerous_db, permission_profile
+    from apktriage.extract.paradigm import classify_paradigm
+    from apktriage.extract.psl import load_suffix_list
+    from apktriage.extract.urls import extract_urls, filter_whitelist, load_whitelist
+    from apktriage.genscan.ciphers import KeyUnavailable
+    from apktriage.genscan.content import decrypt_assets
+    from apktriage.genscan.fingerprints import detect_generator, load_fingerprints
 
     fingerprints = load_fingerprints(args.fingerprint_db)
     dangerous = load_dangerous_db(args.dangerous_permission_file)
@@ -107,8 +109,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_assoc(args) -> int:
-    from apktriage.assoc import (build_graph, graph_to_json, group_stats,
-                                 group_table, read_features_jsonl)
+    from apktriage.assoc.features import read_features_jsonl
+    from apktriage.assoc.graph import build_graph, graph_to_json
+    from apktriage.assoc.stats import group_stats, group_table
     from apktriage.reportcli.emit import _write, emit_report
 
     features = read_features_jsonl(args.features)
@@ -121,47 +124,37 @@ def cmd_assoc(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    from apktriage.infrawatch import (DnsResolver, HttpProber, ScriptedProber,
-                                      ScriptedResolver, ScriptedWhois,
-                                      TimelineStore, WhoisRecord, Window,
-                                      classify_bindings, lifespan,
-                                      lifespan_table, schedule)
+    from apktriage.infrawatch.backends import (DnsResolver, HttpProber, ScriptedProber,
+                                               ScriptedResolver, ScriptedWhois)
+    from apktriage.infrawatch.bindings import classify_bindings
+    from apktriage.infrawatch.lifespan import lifespan, lifespan_table
+    from apktriage.infrawatch.schedule import Window, schedule
+    from apktriage.infrawatch.timeline import TimelineStore
     from apktriage.reportcli.emit import _json_string, _write, emit_report
+    from apktriage.util import read_json
+
+    def scripted(script):
+        if type(script) is not dict:
+            raise ValueError("must be a JSON object")
+        return (ScriptedResolver(script.get("resolutions", {})),
+                ScriptedProber(script.get("probes", {})),
+                ScriptedWhois(script.get("whois", {})))
 
     window = Window(start=_parse_ts(args.window_start), end=_parse_ts(args.window_end))
     cadence = timedelta(days=args.cadence_days)
-    store = TimelineStore(args.store)
     with open(args.domains, encoding="utf-8") as f:
         domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
-
     if args.script:
-        script = _json_object(args.script)
-        resolutions, probes, records = (script.get(key, {})
-                                        for key in ("resolutions", "probes", "whois"))
-        if (not all(type(m) is dict for m in (resolutions, probes, records))
-                or not all(type(r) is dict for r in records.values())):
-            raise ValueError(f"{args.script}: 'resolutions', 'probes' and 'whois' "
-                             "must be objects, and so must each whois record")
-        resolver = ScriptedResolver(resolutions)
-        prober = ScriptedProber(probes)
-        whois = ScriptedWhois({
-            d: WhoisRecord(registrant=r.get("registrant", ""),
-                           country=r.get("country", ""),
-                           created=r.get("created", ""))
-            for d, r in records.items()})
+        resolver, prober, whois = read_json(args.script, scripted)
     else:
         resolver, prober, whois = DnsResolver(), HttpProber(), None
+    mtimes = read_json(args.manifest_mtimes, _timestamps) if args.manifest_mtimes else {}
 
+    store = TimelineStore(args.store)
     watched = schedule(domains, window, cadence, resolver, prober, whois, store)
     # sorted store order: classify_bindings sums floats in this order
     timelines = {d: watched[d] if d in watched else store.load(d)
                  for d in store.domains()}
-    mtimes = {}
-    if args.manifest_mtimes:
-        mtimes = _json_object(args.manifest_mtimes)
-        if not all(type(v) is str for v in mtimes.values()):
-            raise ValueError(f"{args.manifest_mtimes}: must be an object of strings")
-        mtimes = {k: _parse_ts(v) for k, v in mtimes.items()}
     records = [lifespan(t, mtimes.get(d, window.start))
                for d, t in sorted(timelines.items()) if t.probes]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
@@ -171,8 +164,8 @@ def cmd_watch(args) -> int:
 
 
 def cmd_payclass(args) -> int:
-    from apktriage.payclass import (channel_breakdown, classify_session,
-                                    load_licensed_db, read_observations_jsonl)
+    from apktriage.payclass.sessions import (channel_breakdown, classify_session,
+                                             load_licensed_db, read_observations_jsonl)
     from apktriage.reportcli.emit import _json_string, _write
 
     licensed = load_licensed_db(args.licensed_db)
@@ -212,17 +205,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _json_object(path) -> dict:
-    """The JSON object in the file at ``path``; any other content is a
-    ``ValueError`` naming the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except (ValueError, RecursionError) as e:  # json recurses on nesting
-            raise ValueError(f"{path}: {e}") from None
-    if type(obj) is not dict:
-        raise ValueError(f"{path}: must be a JSON object")
-    return obj
+def _timestamps(obj) -> dict[str, datetime]:
+    if type(obj) is not dict or not all(type(v) is str for v in obj.values()):
+        raise ValueError("must be a JSON object of timestamp strings")
+    return {k: _parse_ts(v) for k, v in obj.items()}
 
 
 def _parse_ts(value) -> datetime:

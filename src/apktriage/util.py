@@ -14,6 +14,18 @@ def read_data_text(path, name: str) -> str:
         return f.read()
 
 
+def read_json(path, parse):
+    """``parse`` of the JSON document in the file at ``path``. ``parse``
+    checks its shape and raises ``ValueError`` for any other; that, a file
+    that is not JSON, or one nested too deep for ``json`` is a
+    ``ValueError`` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return parse(json.load(f))
+        except (ValueError, RecursionError) as e:  # json recurses on nesting
+            raise ValueError(f"{path}: {e}") from None
+
+
 def json_lines(path, lines, parse) -> list:
     """``parse`` of each decoded non-blank line of ``lines``, the lines of
     the file at ``path``. ``parse`` checks the shape of its object and

@@ -14,24 +14,24 @@ from pathlib import Path
 
 import pytest
 
-from apktriage.assoc import build_graph, group_stats
+from apktriage.assoc.graph import build_graph
+from apktriage.assoc.stats import group_stats
 from apktriage.genscan import ciphers
-from apktriage.infrawatch import (
-    END_DEAD_BEFORE_FIRST,
-    END_OBSERVED_DEATH,
-    END_STILL_ALIVE,
+from apktriage.infrawatch.bindings import (
     KIND_FIXED,
     KIND_FLEXIBLE_I,
     KIND_FLEXIBLE_II,
-    DomainTimeline,
-    Probe,
-    Resolution,
-    WhoisRecord,
     classify_bindings,
-    lifespan,
-    registrant_stats,
 )
-from apktriage.payclass import (
+from apktriage.infrawatch.lifespan import (
+    END_DEAD_BEFORE_FIRST,
+    END_OBSERVED_DEATH,
+    END_STILL_ALIVE,
+    lifespan,
+)
+from apktriage.infrawatch.registrants import registrant_stats
+from apktriage.infrawatch.timeline import DomainTimeline, Probe, Resolution, WhoisRecord
+from apktriage.payclass.sessions import (
     KIND_FOURTH_PARTY,
     KIND_INDETERMINATE,
     KIND_THIRD_PARTY,
@@ -39,7 +39,7 @@ from apktriage.payclass import (
     channel_breakdown,
     classify_session,
 )
-from apktriage.reportcli import category_distribution
+from apktriage.reportcli.aggregate import category_distribution
 
 from apktriage.apkcore.errors import ManifestUndecodable
 from apktriage.apkcore.manifest import parse_manifest

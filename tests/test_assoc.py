@@ -11,19 +11,10 @@ from hypothesis import strategies as st
 
 from apktriage.apkcore.certs import (CLASS_DEBUG, CLASS_DEVELOPER,
                                      CLASS_GENERATOR, DN_FIELDS, SignerIdentity)
-from apktriage.assoc import (
-    AssociationGraph,
-    DuplicateSampleId,
-    GroupRow,
-    SampleFeatures,
-    build_graph,
-    features_from_json,
-    fired_rules,
-    graph_to_json,
-    group_stats,
-    overlap,
-)
-from apktriage.assoc.rules import SNAPSHOT_MAX_BITS
+from apktriage.assoc.features import SampleFeatures, features_from_json
+from apktriage.assoc.graph import AssociationGraph, DuplicateSampleId, build_graph, graph_to_json
+from apktriage.assoc.rules import SNAPSHOT_MAX_BITS, fired_rules, overlap
+from apktriage.assoc.stats import GroupRow, group_stats
 from apktriage.extract.snapshot import VisualFingerprint
 from apktriage.extract.urls import UrlSet
 

@@ -298,7 +298,7 @@ def test_scan_loads_reference_data_once(tmp_path, monkeypatch):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        # every binding of the loader, re-exports included
+        # every binding of the loader
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is fn:
@@ -478,9 +478,18 @@ def test_watch_wrong_shaped_store_line_is_an_input_error(tmp_path, capsys, line)
     ("--script", '{"whois": []}'),
     ("--script", '{"whois": {"a.example": []}}'),
     ("--script", "[" * 100_000 + "]" * 100_000),
+    ("--script", '{"resolutions": {"a.example": 5}}'),
+    ("--script", '{"resolutions": {"a.example": [[5]]}}'),
+    ("--script", '{"resolutions": {"a.example": ["1.1.1.1"]}}'),
+    ("--script", '{"probes": {"a.example": ["x"]}}'),
+    ("--script", '{"probes": {"a.example": [true]}}'),
+    ("--script", '{"probes": {"a.example": [200.5]}}'),
+    ("--script", '{"whois": {"a.example": {"registrant": 5}}}'),
 ], ids=["mtimes-list", "mtimes-int", "mtimes-not-json", "script-list",
         "script-resolutions-list", "script-probes-null", "script-whois-list",
-        "script-whois-record-list", "script-deep"])
+        "script-whois-record-list", "script-deep", "script-resolutions-int",
+        "script-resolution-of-ints", "script-resolution-string", "script-probe-string",
+        "script-probe-bool", "script-probe-float", "script-whois-field-int"])
 def test_watch_wrong_shaped_side_input_is_an_input_error(tmp_path, capsys, flag, body):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")
@@ -493,6 +502,40 @@ def test_watch_wrong_shaped_side_input_is_an_input_error(tmp_path, capsys, flag,
         argv += ["--script", _watch_script(tmp_path / "s.json", slice(None))]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {side}: ")
+    assert list((tmp_path / "store").glob("*")) == []  # checked before any tick
+
+
+def _fingerprint(**fields):
+    fp = {"generator_id": "g", "rules": [{"kind": "asset_path", "value": "assets/g/"}]}
+    return json.dumps([{**fp, **fields}])
+
+
+@pytest.mark.parametrize("body", [
+    "[" * 100_000,
+    '{"x": 1}',
+    "[5]",
+    '[{"generator_id": "g", "rules": [{"kind": "asset_path"}]}]',
+    _fingerprint(generator_id=5),
+    '[{"rules": [{"kind": "asset_path", "value": "assets/g/"}]}]',
+    _fingerprint(rules="asset_path"),
+    _fingerprint(rules=[["asset_path", "assets/g/"]]),
+    _fingerprint(rules=[{"kind": 5, "value": "assets/g/"}]),
+    _fingerprint(rules=[{"kind": "asset_path", "value": None}]),
+    _fingerprint(cipher=[]),
+    _fingerprint(cipher={"algo": ["RC4"]}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": "external"}),
+    _fingerprint(protected_paths="assets/g/"),
+    _fingerprint(protected_paths=[5]),
+], ids=["deep", "object", "list-of-int", "rule-without-value", "generator-id-int",
+        "no-generator-id", "rules-string", "rule-list", "rule-kind-int", "rule-value-null",
+        "cipher-list", "cipher-algo-list", "cipher-key-source-string",
+        "protected-paths-string", "protected-path-int"])
+def test_scan_wrong_shaped_fingerprint_db_is_an_input_error(tmp_path, capsys, body):
+    db = tmp_path / "generators.json"
+    db.write_text(body)
+    (tmp_path / "apks").mkdir()
+    assert main(["scan", str(tmp_path / "apks"), "--fingerprint-db", str(db)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {db}: ")
 
 
 def test_watch_rejects_unmappable_domain(tmp_path, capsys):
@@ -631,8 +674,9 @@ _PROBE = """
 import json, sys
 from apktriage.reportcli.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "loaded": sorted(
-    m for m in ("numpy", "cryptography.x509") if m in sys.modules)}))
+top = {m.partition(".")[0] for m in sys.modules}
+print(json.dumps({"rc": rc, "numpy": "numpy" in top, "cryptography": "cryptography" in top,
+                  "apktriage": sorted(m for m in sys.modules if m.startswith("apktriage"))}))
 """
 
 
@@ -643,6 +687,27 @@ def _fresh_run(argv):
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+# what running each verb loads of apktriage, besides the entry point
+# (apktriage, apktriage.reportcli, apktriage.reportcli.cli)
+VERB_MODULES = {
+    "scan": ["apkcore", "apkcore.artifact", "apkcore.axml", "apkcore.certs",
+             "apkcore.errors", "apkcore.manifest", "apkcore.permissions", "apkcore.zipread",
+             "data", "extract", "extract.paradigm", "extract.psl", "extract.urls",
+             "genscan", "genscan.ciphers", "genscan.content", "genscan.fingerprints",
+             "util"],
+    "assoc": ["apkcore", "apkcore.artifact", "apkcore.axml", "apkcore.certs",
+              "apkcore.errors", "apkcore.manifest", "apkcore.zipread",
+              "assoc", "assoc.features", "assoc.graph", "assoc.rules", "assoc.stats",
+              "extract", "extract.psl", "extract.snapshot", "extract.urls",
+              "reportcli.emit", "reportcli.taxonomy", "util"],
+    "watch": ["infrawatch", "infrawatch.backends", "infrawatch.bindings",
+              "infrawatch.lifespan", "infrawatch.schedule", "infrawatch.timeline",
+              "reportcli.emit", "util"],
+    "payclass": ["payclass", "payclass.sessions", "reportcli.emit", "util"],
+    "report": ["reportcli.aggregate", "reportcli.emit", "reportcli.taxonomy", "util"],
+}
 
 
 def test_verbs_import_only_what_they_use(tmp_path):
@@ -662,20 +727,26 @@ def test_verbs_import_only_what_they_use(tmp_path):
     apk.write_bytes(build_apk(package="com.a"))
     features = tmp_path / "f.jsonl"
     features.write_text(json.dumps(
-        {"sample_id": "s1", "signature": None, "urls": [], "domains": [],
-         "ip_literals": [], "resolved_ips": [], "fingerprints": [],
+        {"sample_id": "s1", "signature": {"fingerprint": "f1", "dn_fields": {"commonName": "x"},
+                                          "signature_class": "DeveloperSpecific"},
+         "urls": [], "domains": [], "ip_literals": [], "resolved_ips": [], "fingerprints": [],
          "label": None}) + "\n")
-    light = [
-        ["report", str(labels), "--output", str(tmp_path / "r")],
-        ["payclass", str(obs), "--output", str(tmp_path / "p.json")],
-        ["watch", str(domains), "--store", str(tmp_path / "store"),
-         "--output", str(tmp_path / "w"), "--window-start", "2021-01-01",
-         "--window-end", "2021-01-02", "--script", str(script)],
-    ]
-    for argv in light:
-        assert _fresh_run(argv) == {"rc": 0, "loaded": []}, argv[0]
-    # scan and assoc parse certificates, but neither needs numpy
-    for argv in (["scan", str(apk), "--output", str(tmp_path / "s.jsonl")],
-                 ["assoc", str(features), "--output", str(tmp_path / "g")]):
-        result = _fresh_run(argv)
-        assert result["rc"] == 0 and "numpy" not in result["loaded"], argv[0]
+    runs = {
+        "scan": [str(apk), "--output", str(tmp_path / "s.jsonl")],
+        "assoc": [str(features), "--output", str(tmp_path / "g")],
+        "watch": [str(domains), "--store", str(tmp_path / "store"),
+                  "--output", str(tmp_path / "w"), "--window-start", "2021-01-01",
+                  "--window-end", "2021-01-02", "--script", str(script)],
+        "payclass": [str(obs), "--output", str(tmp_path / "p.json")],
+        "report": [str(labels), "--output", str(tmp_path / "r")],
+    }
+    entry = ["apktriage", "apktriage.reportcli", "apktriage.reportcli.cli"]
+    for verb, argv in runs.items():  # one fresh interpreter at a time
+        result = _fresh_run([verb, *argv])
+        assert result == {
+            "rc": 0,
+            "apktriage": sorted(entry + ["apktriage." + m for m in VERB_MODULES[verb]]),
+            "numpy": False,
+            # only scan parses signature blocks
+            "cryptography": verb == "scan",
+        }, verb

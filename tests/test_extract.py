@@ -9,22 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apktriage.apkcore import ApkArtifact, ApkError, open_apk, zipread
+from apktriage.apkcore import zipread
+from apktriage.apkcore.artifact import ApkArtifact, open_apk
 from apktriage.apkcore.certs import load_known_signatures
-from apktriage.extract import (
-    ImageUndecodable,
-    classify_paradigm,
+from apktriage.apkcore.errors import ApkError
+from apktriage.extract import urls
+from apktriage.extract.paradigm import classify_paradigm
+from apktriage.extract.psl import load_suffix_list
+from apktriage.extract.snapshot import ImageUndecodable, snapshot_fingerprint
+from apktriage.extract.urls import (
+    _IPV4_RE,
+    _IPV6_RE,
     extract_urls,
     filter_whitelist,
-    load_suffix_list,
     load_whitelist,
     normalize_url,
-    snapshot_fingerprint,
-    urls,
     urlset_from_strings,
 )
-from apktriage.extract.urls import _IPV4_RE, _IPV6_RE
-from apktriage.genscan import detect_generator, load_fingerprints
+from apktriage.genscan.fingerprints import detect_generator, load_fingerprints
 
 import dhash_oracle
 import url_oracle

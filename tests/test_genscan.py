@@ -5,17 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from apktriage.apkcore import ApkArtifact, open_apk
+from apktriage.apkcore.artifact import ApkArtifact, open_apk
 from apktriage.apkcore.certs import load_known_signatures
-from apktriage.genscan import (
-    CipherError,
-    KeyUnavailable,
-    decrypt_assets,
-    detect_generator,
-    load_fingerprints,
-)
-from apktriage.genscan.ciphers import rc4
-from apktriage.genscan.content import looks_plaintext
+from apktriage.genscan.ciphers import CipherError, KeyUnavailable, rc4
+from apktriage.genscan.content import decrypt_assets, looks_plaintext
+from apktriage.genscan.fingerprints import detect_generator, load_fingerprints
 
 from apk_builder import build_apk
 

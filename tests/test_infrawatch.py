@@ -13,39 +13,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apktriage.infrawatch import (
-    END_DEAD_BEFORE_FIRST,
-    END_OBSERVED_DEATH,
-    END_STILL_ALIVE,
-    KIND_FIXED,
-    KIND_FLEXIBLE_I,
-    KIND_FLEXIBLE_II,
+from apktriage.infrawatch.backends import (
+    PROBE_MAX_REDIRECTS,
+    PROBE_TIMEOUT_S,
     BackendUnavailable,
     DnsResolver,
-    DomainTimeline,
-    EmptyTimeline,
-    GeoDb,
     HttpProber,
-    Probe,
-    Resolution,
     ScriptedProber,
     ScriptedResolver,
     ScriptedWhois,
+)
+from apktriage.infrawatch.bindings import (
+    KIND_FIXED,
+    KIND_FLEXIBLE_I,
+    KIND_FLEXIBLE_II,
+    binding_segments,
+    classify_bindings,
+)
+from apktriage.infrawatch.geo import GeoDb, cctld_country, distribution, geolocate
+from apktriage.infrawatch.lifespan import (
+    END_DEAD_BEFORE_FIRST,
+    END_OBSERVED_DEATH,
+    END_STILL_ALIVE,
+    lifespan,
+)
+from apktriage.infrawatch.registrants import registrant_stats
+from apktriage.infrawatch.schedule import Window, schedule, ticks
+from apktriage.infrawatch.timeline import (
+    DomainTimeline,
+    EmptyTimeline,
+    Probe,
+    Resolution,
     TimelineStore,
     WhoisRecord,
-    Window,
-    binding_segments,
-    cctld_country,
-    classify_bindings,
-    distribution,
-    geolocate,
-    lifespan,
-    registrant_stats,
-    schedule,
-    ticks,
+    _parse_ts,
+    _ts,
 )
-from apktriage.infrawatch.backends import PROBE_MAX_REDIRECTS, PROBE_TIMEOUT_S
-from apktriage.infrawatch.timeline import _parse_ts, _ts
 
 
 def utc(*args):
@@ -397,7 +400,7 @@ class TestSchedule:
 
     def test_whois_fetched_once(self, tmp_path):
         store = TimelineStore(tmp_path)
-        whois = ScriptedWhois({"a.com": WhoisRecord("r1", "China", "")})
+        whois = ScriptedWhois({"a.com": {"registrant": "r1", "country": "China"}})
         args = (["a.com"], Window(utc(2021, 1, 1), utc(2021, 1, 1, 1)),
                 timedelta(days=1))
         t = schedule(*args, ScriptedResolver({"a.com": [["1.1.1.1"]]}),
@@ -409,7 +412,7 @@ class TestSchedule:
         window = Window(utc(2021, 1, 1), utc(2021, 1, 3))
         args = (window, timedelta(days=1), ScriptedResolver({"a.com": [["1.1.1.1"]]}),
                 ScriptedProber({"a.com": [200]}))
-        whois = ScriptedWhois({"a.com": WhoisRecord("r1", "China", "")})
+        whois = ScriptedWhois({"a.com": {"registrant": "r1", "country": "China"}})
         schedule(["a.com"], *args, None, store)
         # a.com's ticks are all covered: its whois takes the window's last tick
         schedule(["a.com"], *args, whois, store)
@@ -417,7 +420,7 @@ class TestSchedule:
         assert '"kind":"whois"' in lines[-1]
         assert '"ts":"2021-01-03T00:00:00Z"' in lines[-1]
         # c.com has every tick pending: its whois takes the first
-        schedule(["c.com"], *args, ScriptedWhois({"c.com": WhoisRecord("r2")}),
+        schedule(["c.com"], *args, ScriptedWhois({"c.com": {"registrant": "r2"}}),
                  store)
         lines = (tmp_path / "c.com.jsonl").read_text().splitlines()
         assert '"kind":"whois"' in lines[0]
@@ -446,7 +449,7 @@ class TestSchedule:
                        timedelta(days=1),
                        ScriptedResolver({d: r for d, (r, _) in plan.items()}),
                        ScriptedProber({d: p for d, (_, p) in plan.items()}),
-                       ScriptedWhois({"a.com": WhoisRecord("r")}), TimelineStore(tmp_path))
+                       ScriptedWhois({"a.com": {"registrant": "r"}}), TimelineStore(tmp_path))
         written = [(p.name[:-len(".jsonl")], json.loads(line)["kind"])
                    for p in sorted(tmp_path.iterdir()) for line in p.read_text().splitlines()]
         assert calls == written
@@ -468,7 +471,7 @@ def watch_cases(draw):
                             unique=True))
     resolutions = {d: draw(st.lists(ANSWERS, min_size=1, max_size=n)) for d in domains}
     probes = {d: draw(st.lists(STATUSES, min_size=1, max_size=n)) for d in domains}
-    whois = {d: WhoisRecord("r-" + d, "CN", "") for d in domains if draw(st.booleans())}
+    whois = {d: {"registrant": "r-" + d, "country": "CN"} for d in domains if draw(st.booleans())}
     tz = draw(st.sampled_from([timezone.utc, CST]))
     start = utc(2021, 1, 1).astimezone(tz).replace(microsecond=draw(
         st.sampled_from([0, 1, 500_000, 999_999])))

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from apktriage.payclass import (
+from apktriage.payclass.sessions import (
     CHANNEL_BANK,
     CHANNEL_DIGITAL,
     CHANNEL_RAIL,

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apktriage.apkcore.certs import SignerIdentity
-from apktriage.assoc import build_graph, fired_rules
-from apktriage.extract import filter_whitelist, load_suffix_list
+from apktriage.assoc.graph import build_graph
+from apktriage.assoc.rules import fired_rules
+from apktriage.extract.psl import load_suffix_list
 from apktriage.extract.snapshot import VisualFingerprint
-from apktriage.extract.urls import UrlSet
+from apktriage.extract.urls import UrlSet, filter_whitelist
 from apktriage.genscan import ciphers
-from apktriage.payclass import KIND_FOURTH_PARTY, PaymentClassification, channel_breakdown
-from apktriage.reportcli import category_distribution
+from apktriage.payclass.sessions import KIND_FOURTH_PARTY, PaymentClassification, channel_breakdown
+from apktriage.reportcli.aggregate import category_distribution
 from apktriage.reportcli.emit import _csv_string, _json_string
 from apktriage.util import pct, round_half_up
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apktriage.payclass import read_observations_jsonl
-from apktriage.reportcli import read_labels_jsonl
+from apktriage.payclass.sessions import read_observations_jsonl
+from apktriage.reportcli.taxonomy import read_labels_jsonl
 from apktriage.util import json_lines
 
 CASES = settings(max_examples=100, deadline=None)

@@ -5,16 +5,18 @@ from decimal import Decimal
 import pytest
 
 from apktriage.apkcore.permissions import PermissionProfile
-from apktriage.assoc import build_graph
-from apktriage.reportcli import (
-    SUB_BY_NAME,
-    SUB_CATEGORIES,
-    TaxonomyLabel,
+from apktriage.assoc.graph import build_graph
+from apktriage.reportcli.aggregate import (
     category_distribution,
     corpus_report,
     corpus_table,
-    emit_report,
     permission_aggregate,
+)
+from apktriage.reportcli.emit import emit_report
+from apktriage.reportcli.taxonomy import (
+    SUB_BY_NAME,
+    SUB_CATEGORIES,
+    TaxonomyLabel,
     read_labels_jsonl,
     validate_label,
 )
@@ -128,14 +130,14 @@ class TestEmit:
     def test_group_table_column_order(self, tmp_path):
         samples = [make_sample(f"m{i}", fingerprint="shared") for i in range(4)]
         g = build_graph(samples)
-        from apktriage.assoc import group_stats, group_table
+        from apktriage.assoc.stats import group_stats, group_table
         rows = group_stats(g, {"m0": "Sex"}, corpus_size=10)
         csv_path, _ = emit_report(str(tmp_path / "groups"), *group_table(rows))
         header = open(csv_path, encoding="utf-8").readline().strip()
         assert header == "Rank,Apps,Sex,Gambling,Financial,Service,AuxiliaryTool"
 
     def test_empty_header_only(self, tmp_path):
-        from apktriage.assoc import group_table
+        from apktriage.assoc.stats import group_table
         csv_path, json_path = emit_report(str(tmp_path / "empty"), *group_table([]))
         lines = open(csv_path, encoding="utf-8").read().splitlines()
         assert len(lines) == 1
@@ -165,7 +167,7 @@ class TestLabelIo:
 
 
 def test_every_sub_has_known_top():
-    from apktriage.reportcli import TOP_CATEGORIES
+    from apktriage.reportcli.taxonomy import TOP_CATEGORIES
     assert all(s.top in TOP_CATEGORIES for s in SUB_CATEGORIES)
     assert set(SUB_BY_NAME) == {s.name for s in SUB_CATEGORIES}
 
@@ -178,8 +180,8 @@ def test_every_sub_has_known_top():
     (label("Gambling", "Lotteries"), "Gambling"),
 ], ids=["none", "str", "dict", "dict-without-top", "object"])
 def test_label_shapes_share_one_top_reader(lab, top):
-    from apktriage.assoc import group_stats
-    from apktriage.reportcli import TOP_CATEGORIES
+    from apktriage.assoc.stats import group_stats
+    from apktriage.reportcli.taxonomy import TOP_CATEGORIES
     g = build_graph([make_sample("s1"), make_sample("s2")])
     rows = group_stats(g, {"s1": lab, "s2": "Sex"}, corpus_size=2)
     assert [r.members for r in rows] == [("s1",), ("s2",)]
