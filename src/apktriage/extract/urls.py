@@ -5,13 +5,16 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore import zipread
-from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList
 from apktriage.util import read_data_text
+
+if TYPE_CHECKING:  # assoc loads this module for UrlSet and never parses an APK
+    from apktriage.apkcore.artifact import ApkArtifact
 
 # With IGNORECASE, _URL_RE has no literal prefix for ``re`` to scan for, so
 # ``_scan_text`` tries it only 5 and 4 characters before each "://".

@@ -33,9 +33,10 @@ def looks_plaintext(data: bytes) -> bool:
 
 
 def _resolve_key(apk: ApkArtifact, fp: GeneratorFingerprint) -> bytes:
+    # load_fingerprints has checked the fields of both key types read here
     source = fp.cipher.key_source or {}
     kind = source.get("type")
-    if kind == "constant" and source.get("hex"):
+    if kind == "constant":
         return bytes.fromhex(source["hex"])
     if kind == "entry_offset":
         try:

@@ -67,6 +67,27 @@ class GeneratorMatch:
         return self.fingerprint.generator_id
 
 
+def _check_key_source(gid: str, source: dict) -> None:
+    """Reject a key source whose fields ``content._resolve_key`` reads
+    are missing or wrong-shaped; other types resolve to no key."""
+    kind = source.get("type")
+    if kind == "constant":
+        key = source.get("hex")
+        try:
+            valid = type(key) is str and len(bytes.fromhex(key)) > 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"fingerprint {gid}: a constant key_source needs a non-empty "
+                             "hex string")
+    elif kind == "entry_offset":
+        if not (type(source.get("path")) is str
+                and all(type(source.get(k)) is int and source[k] >= 0
+                        for k in ("offset", "length"))):
+            raise ValueError(f"fingerprint {gid}: an entry_offset key_source needs a string "
+                             "path and non-negative integer offset and length")
+
+
 def _parse_fingerprint(obj) -> GeneratorFingerprint:
     if type(obj) is not dict or type(obj.get("generator_id")) is not str:
         raise ValueError("each fingerprint must be an object with a string generator_id")
@@ -85,6 +106,7 @@ def _parse_fingerprint(obj) -> GeneratorFingerprint:
             raise ValueError(f"unknown rule kind {r['kind']!r} in {gid}")
     if not rules:
         raise ValueError(f"fingerprint {gid} has no evidence rules")
+    _check_key_source(gid, cipher.get("key_source") or {})
     return GeneratorFingerprint(
         generator_id=gid,
         evidence_rules=tuple(EvidenceRule(r["kind"], r["value"]) for r in rules),

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -291,18 +292,21 @@ def test_scan_loads_reference_data_once(tmp_path, monkeypatch):
 
     loaders = [certs.load_known_signatures, fingerprints.load_fingerprints,
                psl.load_suffix_list, permissions.load_dangerous_db]
-    calls = Counter()
+    # a file, not a Counter, so that calls in forked workers count too
+    calls = tmp_path / "calls.txt"
     modules = [m for name, m in list(sys.modules.items())
                if name == "apktriage" or name.startswith("apktriage.")]
     for fn in loaders:
         def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
+            with open(calls, "a") as f:
+                f.write(_fn.__name__ + "\n")
             return _fn(*args, **kwargs)
         # every binding of the loader
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})  # two workers
 
     d = tmp_path / "apks"
     d.mkdir()
@@ -318,7 +322,114 @@ def test_scan_loads_reference_data_once(tmp_path, monkeypatch):
     out = tmp_path / "scan.jsonl"
     assert main(["scan", str(d), "--output", str(out), "--whitelist", str(whitelist)]) == 0
     assert len(out.read_text().splitlines()) == 4
-    assert calls == {fn.__name__: 1 for fn in loaders}
+    assert Counter(calls.read_text().split()) == {fn.__name__: 1 for fn in loaders}
+
+
+def _mixed_corpus(root):
+    """Good APKs in subdirectories, a non-ZIP file, a manifest whose CRC-32
+    does not match and a dangling symlink."""
+    for sub in ("x", "y/z"):
+        (root / sub).mkdir(parents=True)
+    for n, path in enumerate(["a.apk", "x/b.apk", "x/e.apk", "y/c.apk", "y/z/d.apk"]):
+        (root / path).write_bytes(build_apk(
+            package=f"com.m{n}",
+            extra_files={"assets/cfg.json": f'{{"u": "https://c{n}.example/x"}}'.encode()}))
+    (root / "x" / "bad.apk").write_bytes(b"this is not a zip archive")
+    (root / "y" / "crc.apk").write_bytes(_flip_manifest_crc(build_apk(package="com.crc")))
+    (root / "y" / "gone.apk").symlink_to(root / "missing.apk")
+
+
+def _scan_with_cpus(tmp_path, capsys, monkeypatch, cpus, name):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    out = tmp_path / f"{name}.jsonl"
+    rc = main(["scan", str(tmp_path / "apks"), "--output", str(out)])
+    assert multiprocessing.active_children() == []
+    return rc, out.read_bytes(), capsys.readouterr().err.splitlines()
+
+
+def test_scan_pooled_matches_serial(tmp_path, capsys, monkeypatch):
+    (tmp_path / "apks").mkdir()
+    _mixed_corpus(tmp_path / "apks")
+    pooled = _scan_with_cpus(tmp_path, capsys, monkeypatch, 2, "pooled")
+    serial = _scan_with_cpus(tmp_path, capsys, monkeypatch, 1, "serial")
+    assert pooled == serial
+    rc, jsonl, err = serial
+    assert rc == 1
+    recs = [json.loads(line) for line in jsonl.splitlines()]
+    assert [r.get("package") or r["error_kind"] for r in recs] == [
+        "com.m0", "com.m1", "NotAZip", "com.m2", "com.m3", "NotAZip", "FileNotFoundError",
+        "com.m4"]
+    assert len(err) == 3
+
+
+@pytest.mark.parametrize("exc, code", [(RuntimeError, 2), (ValueError, 1)])
+def test_scan_unexpected_error_in_worker_exits_as_serial(tmp_path, capsys, monkeypatch,
+                                                          exc, code):
+    from apktriage.extract import paradigm
+
+    classify = paradigm.classify_paradigm
+
+    def failing(apk, match):  # forked workers inherit the patch
+        if apk.package_name == "com.m2":
+            raise exc("boom")
+        return classify(apk, match)
+
+    monkeypatch.setattr(paradigm, "classify_paradigm", failing)
+    (tmp_path / "apks").mkdir()
+    _mixed_corpus(tmp_path / "apks")
+    pooled = _scan_with_cpus(tmp_path, capsys, monkeypatch, 2, "pooled")
+    serial = _scan_with_cpus(tmp_path, capsys, monkeypatch, 1, "serial")
+    assert pooled == serial
+    rc, jsonl, err = serial
+    assert rc == code
+    assert len(jsonl.splitlines()) == 3  # the records before com.m2's
+    assert err[-1].endswith("boom")
+
+
+def test_scan_write_error_ends_the_pool(tmp_path, capsys, monkeypatch):
+    class FailingOut:
+        """stdout whose second write fails, as on a full disk."""
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(28, "No space left on device")
+
+    (tmp_path / "apks").mkdir()
+    _mixed_corpus(tmp_path / "apks")
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+        monkeypatch.setattr(sys, "stdout", FailingOut())
+        assert main(["scan", str(tmp_path / "apks")]) == 1
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+# tasks of four APKs: one worker per task, up to one per CPU
+@pytest.mark.parametrize("cpus, apks, workers", [(1, 9, None), (4, 1, None), (4, 4, None),
+                                                 (2, 5, 2), (2, 30, 2), (4, 9, 3)])
+def test_scan_pool_size(tmp_path, monkeypatch, cpus, apks, workers):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    d = tmp_path / "apks"
+    d.mkdir()
+    for n in range(apks):
+        (d / f"{n:02}.apk").write_bytes(build_apk(package=f"com.p{n}"))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(d), "--output", str(out)]) == 0
+    assert [json.loads(line)["package"] for line in out.read_text().splitlines()] == [
+        f"com.p{n}" for n in range(apks)]
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_watch_scripted(tmp_path):
@@ -526,10 +637,20 @@ def _fingerprint(**fields):
     _fingerprint(cipher={"algo": "RC4", "key_source": "external"}),
     _fingerprint(protected_paths="assets/g/"),
     _fingerprint(protected_paths=[5]),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {"type": "constant", "hex": "zz"}}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {"type": "constant", "hex": 5}}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {"type": "constant", "hex": ""}}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {"type": "entry_offset"}}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {
+        "type": "entry_offset", "path": "res/raw/k.bin", "offset": -1, "length": 16}}),
+    _fingerprint(cipher={"algo": "RC4", "key_source": {
+        "type": "entry_offset", "path": "res/raw/k.bin", "offset": 0, "length": "16"}}),
 ], ids=["deep", "object", "list-of-int", "rule-without-value", "generator-id-int",
         "no-generator-id", "rules-string", "rule-list", "rule-kind-int", "rule-value-null",
         "cipher-list", "cipher-algo-list", "cipher-key-source-string",
-        "protected-paths-string", "protected-path-int"])
+        "protected-paths-string", "protected-path-int", "constant-key-not-hex",
+        "constant-key-int", "constant-key-empty", "entry-offset-key-without-path",
+        "entry-offset-key-negative", "entry-offset-key-length-string"])
 def test_scan_wrong_shaped_fingerprint_db_is_an_input_error(tmp_path, capsys, body):
     db = tmp_path / "generators.json"
     db.write_text(body)
@@ -676,6 +797,7 @@ from apktriage.reportcli.cli import main
 rc = main(sys.argv[1:])
 top = {m.partition(".")[0] for m in sys.modules}
 print(json.dumps({"rc": rc, "numpy": "numpy" in top, "cryptography": "cryptography" in top,
+                  "pool": "multiprocessing" in top or "concurrent" in top,
                   "apktriage": sorted(m for m in sys.modules if m.startswith("apktriage"))}))
 """
 
@@ -697,8 +819,7 @@ VERB_MODULES = {
              "data", "extract", "extract.paradigm", "extract.psl", "extract.urls",
              "genscan", "genscan.ciphers", "genscan.content", "genscan.fingerprints",
              "util"],
-    "assoc": ["apkcore", "apkcore.artifact", "apkcore.axml", "apkcore.certs",
-              "apkcore.errors", "apkcore.manifest", "apkcore.zipread",
+    "assoc": ["apkcore", "apkcore.certs", "apkcore.errors", "apkcore.zipread",
               "assoc", "assoc.features", "assoc.graph", "assoc.rules", "assoc.stats",
               "extract", "extract.psl", "extract.snapshot", "extract.urls",
               "reportcli.emit", "reportcli.taxonomy", "util"],
@@ -749,4 +870,6 @@ def test_verbs_import_only_what_they_use(tmp_path):
             "numpy": False,
             # only scan parses signature blocks
             "cryptography": verb == "scan",
+            # a one-APK scan runs in this process
+            "pool": False,
         }, verb
