@@ -57,20 +57,22 @@ def _overlaps(a: BindingSegment, b: BindingSegment) -> bool:
 
 
 def classify_bindings(timelines) -> tuple[dict[str, BindingClassification], dict]:
-    """Classify each monitored domain (an iterable of timelines) and
-    summarize the population; means are summed in iteration order.
+    """``classify_segments`` of the binding segments of each timeline."""
+    return classify_segments({t.domain: binding_segments(t) for t in timelines})
+
+
+def classify_segments(per_domain: dict[str, tuple[BindingSegment, ...]]
+                      ) -> tuple[dict[str, BindingClassification], dict]:
+    """Classify each monitored domain from its binding segments and
+    summarize the population; means are summed in the mapping's order.
 
     Flexible = at least two distinct IPs ever resolved. Type-I shares an
     IP with another monitored domain's bindings at any time (same-period
     and cross-period sharing both count, reported as sub-flags); type-II
     never shares. Domains with zero or one distinct IP are Fixed.
     """
-    per_domain: dict[str, tuple[BindingSegment, ...]] = {}
-    distinct: dict[str, set[str]] = {}
-    for t in timelines:
-        segs = binding_segments(t)
-        per_domain[t.domain] = segs
-        distinct[t.domain] = set().union(*[s.ips for s in segs]) if segs else set()
+    distinct = {domain: set().union(*[s.ips for s in segs])
+                for domain, segs in per_domain.items()}
 
     # ip -> [(domain, segment)] for the sharing check
     by_ip: dict[str, list[tuple[str, BindingSegment]]] = {}

@@ -38,14 +38,19 @@ def ticks(window: Window, cadence: timedelta):
 
 def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Prober,
                  store: TimelineStore) -> None:
-    """Run one inspection and append it to ``store``. A backend outage is
-    recorded as a gap, never dropped; a prober outage keeps the tick's
-    resolution."""
+    """Run one inspection and append it to ``store`` once it is decided:
+    a resolution and a probe, a resolution and a gap on a prober outage,
+    or a gap alone on a resolver outage; an outage is never dropped. Any
+    other exception from a backend appends nothing of the tick, so the
+    store never holds half a tick."""
     try:
         ips = resolver.resolve(t.domain, ts)
-        resolution = Resolution(ts=ts, ips=ips)
-        t.add_resolution(resolution)
-        store.append_resolution(t.domain, resolution)
+    except BackendUnavailable as e:
+        t.gaps.append((ts, str(e)))
+        store.append_gap(t.domain, ts, str(e))
+        return
+    resolution = Resolution(ts=ts, ips=ips)
+    try:
         if not ips:
             probe = Probe(ts=ts, alive=False, detail="nxdomain")
         elif (status := prober.probe(t.domain, ts)) is None:
@@ -53,11 +58,17 @@ def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Pr
         else:
             probe = Probe(ts=ts, alive=status < DEAD_STATUS, detail=f"{status // 100}xx")
     except BackendUnavailable as e:
-        t.gaps.append((ts, str(e)))
-        store.append_gap(t.domain, ts, str(e))
-        return
-    t.add_probe(probe)
-    store.append_probe(t.domain, probe)
+        probe, gap = None, str(e)
+    t.add_resolution(resolution)
+    if probe is None:
+        t.gaps.append((ts, gap))
+    else:
+        t.add_probe(probe)
+    store.append_resolution(t.domain, resolution)
+    if probe is None:
+        store.append_gap(t.domain, ts, gap)
+    else:
+        store.append_probe(t.domain, probe)
 
 
 def schedule(domains, window: Window, cadence: timedelta,
@@ -70,7 +81,10 @@ def schedule(domains, window: Window, cadence: timedelta,
     stamped with the domain's first pending tick (the window's last tick
     when none is pending), so a resumed store matches an uninterrupted one
     byte for byte. Every domain is loaded, and its name checked, before the
-    first tick runs."""
+    first tick runs. The store is closed on every exit, so an exception or
+    an interrupt still writes every tick decided before it; a killed
+    process loses the ticks of the domain in progress, which a resume runs
+    again."""
     tick_list = [t.astimezone(timezone.utc).replace(microsecond=0)
                  for t in ticks(window, cadence)]
     timelines = {d: store.load(d) for d in sorted(set(domains))}

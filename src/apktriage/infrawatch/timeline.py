@@ -6,7 +6,7 @@ are empty, ``.`` or ``..``, or that contain ``/`` or NUL are rejected.
 Each event is one JSON line; every timestamp is stored as UTC whole
 seconds (``YYYY-MM-DDTHH:MM:SSZ``). A line counts as a record only once
 its newline is written: ``load`` drops an unterminated final line (a
-write torn by a crash), and the first append to a file in a run cuts
+write torn by a crash), and the first write to a file in a run cuts
 such a tail off before writing. A line that does end in a newline must
 hold one of the four record shapes (resolution, probe, gap, whois) with
 values of the types the store writes; any other raises ValueError naming
@@ -141,23 +141,26 @@ def _line(record: dict) -> str:
 class TimelineStore:
     """One append-only JSON-lines file per domain, one record per event.
 
-    The file of the domain last appended to stays open, and each record
-    is flushed as it is written; ``close`` ends the run."""
+    ``append`` queues its record's line. The lines queued for a domain
+    reach its file in one write when the store moves to another domain or
+    is closed, so a process killed mid-run loses only the records of the
+    domain in progress; ``close`` ends the run."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._domain: str | None = None
-        self._file = None
+        self._lines: list[str] = []
 
-    def _path(self, domain: str) -> Path:
+    def path(self, domain: str) -> Path:
+        """The file of ``domain``; a name that cannot be one raises ValueError."""
         if domain in ("", ".", "..") or "/" in domain or "\0" in domain:
             raise ValueError(f"domain {domain!r} cannot name a store file")
         return self.root / f"{domain}.jsonl"
 
     def _open(self, domain: str):
         """Open for appending, cutting any unterminated final line."""
-        f = open(self._path(domain), "a+b")
+        f = open(self.path(domain), "a+b")
         try:
             end = pos = f.seek(0, os.SEEK_END)
             while pos:
@@ -176,18 +179,19 @@ class TimelineStore:
         return f
 
     def append(self, domain: str, record: dict) -> None:
-        line = _line(record).encode("ascii")
+        line = _line(record)
         if domain != self._domain:
+            self.path(domain)  # a bad name fails here, not at the write
             self.close()
-            self._file = self._open(domain)
             self._domain = domain
-        self._file.write(line)
-        self._file.flush()
+        self._lines.append(line)
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-        self._domain = self._file = None
+        domain, lines = self._domain, self._lines
+        self._domain, self._lines = None, []
+        if lines:
+            with self._open(domain) as f:
+                f.write("".join(lines).encode("ascii"))
 
     def append_resolution(self, domain: str, r: Resolution) -> None:
         self.append(domain, {"ts": _ts(r.ts), "kind": "resolution",
@@ -207,7 +211,7 @@ class TimelineStore:
 
     def load(self, domain: str) -> DomainTimeline:
         t = DomainTimeline(domain=domain)
-        path = self._path(domain)
+        path = self.path(domain)
         if not path.exists():
             return t
 

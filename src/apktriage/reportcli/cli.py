@@ -32,6 +32,9 @@ def _iter_apks(path: str):
 # APKs per pool task: enough to spread the pool's cost per task (~0.4 ms
 # of the parent's CPU), few enough to keep the workers evenly loaded
 _CHUNK = 4
+# Domains per pool task: enough to spread each task's store, tick list and
+# pickled results, few enough to keep the workers evenly loaded
+_WATCH_CHUNK = 32
 # Tasks in flight per worker: enough to keep each worker busy while the
 # parent writes, few enough that memory does not grow with the corpus.
 _TASKS_PER_WORKER = 2
@@ -39,6 +42,9 @@ _TASKS_PER_WORKER = 2
 # The reference data of the running scan, loaded once by cmd_scan; forked
 # workers inherit it, so none of it is loaded or pickled again.
 _refs = None
+# The store root, window, cadence, backends and packing times of the
+# running watch, set by cmd_watch; forked workers inherit them.
+_watch_job = None
 
 
 def _scan_one(apk_path: str) -> tuple[str, str | None]:
@@ -104,49 +110,55 @@ def _scan_one(apk_path: str) -> tuple[str, str | None]:
     return json.dumps(rec, sort_keys=True) + "\n", None
 
 
-def _scan_chunk(apk_paths: list[str]) -> tuple[list, Exception | None]:
-    """_scan_one of each path up to the first exception, and that exception
-    (or None), so that the records before it are still written."""
+def _scan_task(apk_paths):
+    return map(_scan_one, apk_paths)
+
+
+def _run_task(task, items) -> tuple[list, Exception | None]:
+    """task's results for items up to the first exception, and that
+    exception (or None), so that the results before it still count."""
     results = []
     try:
-        for path in apk_paths:
-            results.append(_scan_one(path))
+        for result in task(items):
+            results.append(result)
     except Exception as exc:  # re-raised by the parent, in input order
         return results, exc
     return results, None
 
 
-def _scan_all(apk_paths):
-    """_scan_one of each path, in input order. Tasks of _CHUNK paths go to
-    one worker per usable CPU, but to no more workers than tasks. One
-    worker runs in this process; more run in a pool that the generator's
-    close shuts down."""
+def _in_tasks(task, items, size):
+    """The results of task over tasks of ``size`` items, in input order.
+    Tasks go to one worker per usable CPU, but to no more workers than
+    tasks. One worker runs task on all the items in this process; more
+    run in a pool that the generator's close shuts down. An exception
+    that task raises is raised again after the results before it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # the fewest paths that show whether there is a task for every CPU
-    head = list(itertools.islice(apk_paths, (cpus - 1) * _CHUNK + 1))
-    workers = (len(head) + _CHUNK - 1) // _CHUNK
-    apk_paths = itertools.chain(head, apk_paths)
+    items = iter(items)
+    # the fewest items that show whether there is a task for every CPU
+    head = list(itertools.islice(items, (cpus - 1) * size + 1))
+    workers = (len(head) + size - 1) // size
+    items = itertools.chain(head, items)
     if workers < 2:
         # in this process, without importing the pool (~35 ms cold)
-        yield from map(_scan_one, apk_paths)
+        yield from task(items)
         return
 
     import multiprocessing
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork, so that the workers inherit _refs; the executor forks every
-    # worker before it starts a thread
+    # fork, so that the workers inherit the running verb's state; the
+    # executor forks every worker before it starts a thread
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        chunks = iter(lambda: list(itertools.islice(apk_paths, _CHUNK)), [])
-        window = deque(pool.submit(_scan_chunk, chunk)
+        chunks = iter(lambda: list(itertools.islice(items, size)), [])
+        window = deque(pool.submit(_run_task, task, chunk)
                        for chunk in itertools.islice(chunks, _TASKS_PER_WORKER * workers))
         while window:
             future = window.popleft()
             chunk = next(chunks, None)
             if chunk is not None:
-                window.append(pool.submit(_scan_chunk, chunk))
+                window.append(pool.submit(_run_task, task, chunk))
             results, exc = future.result()
             yield from results
             if exc is not None:
@@ -174,7 +186,7 @@ def cmd_scan(args) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     failed = 0
     _refs = refs
-    results = _scan_all(_iter_apks(args.input))
+    results = _in_tasks(_scan_task, _iter_apks(args.input), _CHUNK)
     try:
         for line, error in results:
             if error is not None:
@@ -204,12 +216,34 @@ def cmd_assoc(args) -> int:
     return EXIT_OK
 
 
+def _watch_outcome(t):
+    """The lifespan record of timeline t (None without probes) and its
+    binding segments."""
+    from apktriage.infrawatch.bindings import binding_segments
+    from apktriage.infrawatch.lifespan import lifespan
+
+    _root, window, _cadence, _backends, mtimes = _watch_job
+    record = lifespan(t, mtimes.get(t.domain, window.start)) if t.probes else None
+    return record, binding_segments(t)
+
+
+def _watch_task(domains):
+    """(domain, _watch_outcome) of each domain, in order, after schedule
+    runs them with a store of their own."""
+    from apktriage.infrawatch.schedule import schedule
+    from apktriage.infrawatch.timeline import TimelineStore
+
+    root, window, cadence, backends, _mtimes = _watch_job
+    watched = schedule(domains, window, cadence, *backends, TimelineStore(root))
+    return [(d, _watch_outcome(t)) for d, t in watched.items()]
+
+
 def cmd_watch(args) -> int:
     from apktriage.infrawatch.backends import (DnsResolver, HttpProber, ScriptedProber,
                                                ScriptedResolver, ScriptedWhois)
-    from apktriage.infrawatch.bindings import classify_bindings
-    from apktriage.infrawatch.lifespan import lifespan, lifespan_table
-    from apktriage.infrawatch.schedule import Window, schedule
+    from apktriage.infrawatch.bindings import classify_segments
+    from apktriage.infrawatch.lifespan import lifespan_table
+    from apktriage.infrawatch.schedule import Window
     from apktriage.infrawatch.timeline import TimelineStore
     from apktriage.reportcli.emit import _json_string, _write, emit_report
     from apktriage.util import read_json
@@ -226,20 +260,27 @@ def cmd_watch(args) -> int:
     with open(args.domains, encoding="utf-8") as f:
         domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
     if args.script:
-        resolver, prober, whois = read_json(args.script, scripted)
+        backends = read_json(args.script, scripted)
     else:
-        resolver, prober, whois = DnsResolver(), HttpProber(), None
+        backends = DnsResolver(), HttpProber(), None
     mtimes = read_json(args.manifest_mtimes, _timestamps) if args.manifest_mtimes else {}
 
     store = TimelineStore(args.store)
-    watched = schedule(domains, window, cadence, resolver, prober, whois, store)
-    # sorted store order: classify_bindings sums floats in this order
-    timelines = {d: watched[d] if d in watched else store.load(d)
-                 for d in store.domains()}
-    records = [lifespan(t, mtimes.get(d, window.start))
-               for d, t in sorted(timelines.items()) if t.probes]
+    domains = sorted(set(domains))
+    for d in domains:  # every name, before any tick
+        store.path(d)
+    global _watch_job
+    _watch_job = (args.store, window, cadence, backends, mtimes)
+    try:
+        watched = dict(_in_tasks(_watch_task, domains, _WATCH_CHUNK))
+        # sorted store order: classify_segments sums floats in this order
+        outcomes = {d: watched[d] if d in watched else _watch_outcome(store.load(d))
+                    for d in store.domains()}
+    finally:
+        _watch_job = None
+    records = [record for record, _segments in outcomes.values() if record is not None]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
-    _classes, summary = classify_bindings(timelines.values())
+    _classes, summary = classify_segments({d: segs for d, (_r, segs) in outcomes.items()})
     _write(args.output + ".bindings.json", _json_string(summary))
     return EXIT_OK
 

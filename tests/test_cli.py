@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -500,10 +502,10 @@ WATCH_SPLIT = 3
 WATCH_OUTPUTS = (".lifespan.csv", ".lifespan.json", ".bindings.json")
 
 
-def _watch_script(path, part):
+def _watch_script(path, part, plans=WATCH_PLAN):
     script = {"resolutions": {}, "probes": {},
-              "whois": {d: {"registrant": "r-" + d} for d in WATCH_PLAN}}
-    for d, plan in WATCH_PLAN.items():
+              "whois": {d: {"registrant": "r-" + d} for d in plans}}
+    for d, plan in plans.items():
         script["resolutions"][d] = [ips for ips, _ in plan[part]]
         script["probes"][d] = [s for ips, s in plan[part] if ips not in ("gap", None, [])]
     path.write_text(json.dumps(script))
@@ -577,6 +579,160 @@ def test_watch_wrong_shaped_store_line_is_an_input_error(tmp_path, capsys, line)
     code = _watch(tmp_path, "w", "store", "2021-01-01T00:00:00+00:00", 1, slice(0, 2))
     assert code == 1
     assert "a.example.jsonl, line 1: " in capsys.readouterr().err
+
+
+def _pool_plan(i):
+    """Eight ticks of every answer kind, rotated by the domain's index; the
+    address 10.9.9.9 is shared between domains."""
+    own = [f"10.0.0.{i}"]
+    kinds = [[own, 200], ["gap", None], [None, None], [own, "gap"], [[], None],
+             [["10.9.9.9"], 503], [own + [f"10.1.0.{i}"], 302], [own, None]]
+    return kinds[i:] + kinds[:i]
+
+
+# seven domains in tasks of two (cli._WATCH_CHUNK patched): four tasks,
+# which two CPUs run in two workers
+POOL_PLAN = {f"d{i}.example": _pool_plan(i) for i in range(7)}
+POOL_SPLIT = 3
+
+
+def _pool_watch_argv(tmp_path, store, name, part):
+    domains = tmp_path / "pool-domains.txt"
+    domains.write_text("".join(d + "\n" for d in POOL_PLAN))
+    last = (part.stop or len(POOL_PLAN["d0.example"])) - 1
+    return ["watch", str(domains), "--store", str(store), "--output", str(tmp_path / name),
+            "--window-start", "2021-01-01", "--window-end", f"2021-01-{last + 1:02}",
+            "--script", _watch_script(tmp_path / f"{name}.script.json", part, POOL_PLAN)]
+
+
+def _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store, part):
+    """(exit code, outputs, store bytes, stderr lines) of one watch run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    name = f"w{cpus}"
+    rc = main(_pool_watch_argv(tmp_path, store, name, part))
+    assert multiprocessing.active_children() == []
+    outputs = {ext: (tmp_path / f"{name}{ext}").read_bytes() for ext in WATCH_OUTPUTS
+               if (tmp_path / f"{name}{ext}").exists()}
+    return rc, outputs, _store_bytes(store), capsys.readouterr().err.splitlines()
+
+
+def _store_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_watch_pooled_matches_serial(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    first = tmp_path / "first"
+    assert _watch_with_cpus(tmp_path, capsys, monkeypatch, 1, first,
+                            slice(0, POOL_SPLIT))[0] == 0
+    with open(first / "d3.example.jsonl", "a", encoding="utf-8") as f:
+        f.write('{"kind":"probe","payl')  # a torn tail
+    (first / "z.example.jsonl").write_text(  # a domain outside the list
+        '{"kind":"resolution","payload":["10.9.9.9"],"ts":"2021-01-01T00:00:00Z"}\n'
+        '{"kind":"probe","payload":{"alive":true,"detail":"2xx"},'
+        '"ts":"2021-01-01T00:00:00Z"}\n')
+    runs = []
+    for cpus in (2, 1):
+        store = tmp_path / f"store{cpus}"
+        shutil.copytree(first, store)
+        runs.append(_watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store,
+                                     slice(POOL_SPLIT, None)))
+    assert sizes == [2]
+    assert runs[0] == runs[1]
+    rc, outputs, stores, err = runs[1]
+    assert (rc, err) == (0, [])
+    assert list(stores) == [f"{d}.jsonl" for d in POOL_PLAN] + ["z.example.jsonl"]
+    summary = json.loads(outputs[".bindings.json"])
+    assert summary["domains"] == 8 and summary["type1"] > 0
+    lifespans = json.loads(outputs[".lifespan.json"])
+    assert [r["domain"] for r in lifespans] == list(POOL_PLAN) + ["z.example"]
+
+
+@pytest.mark.parametrize("fault, code", [("store-line", 1), (RuntimeError, 2), (ValueError, 1)])
+def test_watch_error_in_a_later_task_exits_as_serial(tmp_path, capsys, monkeypatch,
+                                                      fault, code):
+    from apktriage.infrawatch.backends import ScriptedProber
+
+    probe = ScriptedProber.probe
+
+    def failing(self, domain, ts):  # forked workers inherit the patch
+        if domain == "d5.example":
+            raise fault("boom")
+        return probe(self, domain, ts)
+
+    if fault != "store-line":
+        monkeypatch.setattr(ScriptedProber, "probe", failing)
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    store, runs = tmp_path / "store", []
+    for cpus in (2, 1):
+        shutil.rmtree(store, ignore_errors=True)
+        store.mkdir()
+        if fault == "store-line":  # in the third task of four
+            (store / "d5.example.jsonl").write_text('["x"]\n')
+        rc, outputs, _stores, err = _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus,
+                                                     store, slice(None))
+        assert outputs == {}
+        runs.append((rc, err))
+    assert runs[0] == runs[1]
+    rc, err = runs[1]
+    assert rc == code
+    assert err == [f"error: {store / 'd5.example.jsonl'}, line 1: "
+                   "a record is an object of exactly kind, payload and ts"
+                   if fault == "store-line" else
+                   f"{'internal error' if code == 2 else 'error'}: boom"]
+
+
+# runs watch with the given usable CPUs, killing its own process at the
+# fifth tick of d3.example, the second domain of the second task
+_KILLED_WATCH = """
+import os, signal, sys
+from apktriage.infrawatch.backends import ScriptedProber
+from apktriage.reportcli import cli
+cpus = int(sys.argv[1])
+os.sched_getaffinity = lambda _pid: set(range(cpus))
+cli._WATCH_CHUNK = 2
+probe = ScriptedProber.probe
+def killing(self, domain, ts):
+    if domain == "d3.example" and ts.day == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return probe(self, domain, ts)
+ScriptedProber.probe = killing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("cpus, code", [(1, -signal.SIGKILL), (2, 2)], ids=["serial", "pooled"])
+def test_watch_resumes_after_a_kill(tmp_path, monkeypatch, cpus, code):
+    from apktriage.infrawatch.timeline import TimelineStore
+
+    killed = _pool_watch_argv(tmp_path, tmp_path / "killed", "killed", slice(None))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WATCH, str(cpus), *killed],
+                          env=_src_env(), capture_output=True, timeout=60)
+    assert proc.returncode == code
+    store = TimelineStore(tmp_path / "killed")
+    for d in store.domains():
+        store.load(d)  # every file loads
+    assert "d3.example" not in store.domains()  # the domain in progress is lost
+    if cpus == 1:
+        assert store.domains() == ["d0.example", "d1.example", "d2.example"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    assert main(killed) == 0  # the same command again
+    assert main(_pool_watch_argv(tmp_path, tmp_path / "whole", "whole", slice(None))) == 0
+    assert multiprocessing.active_children() == []
+    for ext in WATCH_OUTPUTS:
+        assert (tmp_path / f"killed{ext}").read_bytes() == (tmp_path / f"whole{ext}").read_bytes()
+    assert _store_bytes(tmp_path / "killed") == _store_bytes(tmp_path / "whole")
 
 
 @pytest.mark.parametrize("flag,body", [
@@ -790,6 +946,13 @@ def test_help_exits_zero(capsys):
     assert "--corpus-size" in out and "--i-max" not in out
 
 
+def _src_env():
+    """The environment, with this package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(apktriage.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 # a verb run in a fresh interpreter; prints which heavy modules it loaded
 _PROBE = """
 import json, sys
@@ -803,10 +966,7 @@ print(json.dumps({"rc": rc, "numpy": "numpy" in top, "cryptography": "cryptograp
 
 
 def _fresh_run(argv):
-    src = os.path.dirname(os.path.dirname(apktriage.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=_src_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 

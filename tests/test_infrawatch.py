@@ -38,6 +38,7 @@ from apktriage.infrawatch.lifespan import (
     lifespan,
 )
 from apktriage.infrawatch.registrants import registrant_stats
+from apktriage.infrawatch import timeline
 from apktriage.infrawatch.schedule import Window, schedule, ticks
 from apktriage.infrawatch.timeline import (
     DomainTimeline,
@@ -217,18 +218,36 @@ class TestStoreFiles:
         assert store.domains() == sorted(names)
         assert [store.load(n).gaps[0][1] for n in names] == names
 
-    def test_one_open_file_per_domain(self, tmp_path):
+    def test_one_write_per_domain(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            write = f.write
+
+            def recorded(data):
+                writes.append((Path(f.name).name, data))
+                return write(data)
+
+            f.write = recorded
+            return f
+
+        monkeypatch.setattr(timeline, "open", recording_open, raising=False)
+        a, b = tmp_path / "a.com.jsonl", tmp_path / "b.com.jsonl"
+        a.write_text(GAP_LINE % ("old", 1))  # from an earlier run
         store = TimelineStore(tmp_path)
-        store.append_gap("a.com", utc(2021, 1, 1), "r")
-        first = store._file
-        store.append_gap("a.com", utc(2021, 1, 2), "s")
-        assert store._file is first
-        # each record is flushed: a reader sees it while the file is open
-        assert len(store.load("a.com").gaps) == 2
-        store.append_gap("b.com", utc(2021, 1, 1), "r")
-        assert first.closed
+        store.append_gap("a.com", utc(2021, 1, 2), "r")
+        store.append_gap("a.com", utc(2021, 1, 3), "s")
+        # queued: the file holds none of them before the store moves on
+        assert a.read_text() == GAP_LINE % ("old", 1)
+        store.append_gap("b.com", utc(2021, 1, 2), "t")
+        assert a.read_text() == GAP_LINE % ("old", 1) + GAP_LINE % ("r", 2) + GAP_LINE % ("s", 3)
+        assert not b.exists()
         store.close()
-        assert store._file is None
+        assert b.read_text() == GAP_LINE % ("t", 2)
+        store.close()  # nothing queued, nothing written
+        assert writes == [("a.com.jsonl", (GAP_LINE % ("r", 2) + GAP_LINE % ("s", 3)).encode()),
+                          ("b.com.jsonl", (GAP_LINE % ("t", 2)).encode())]
 
     @pytest.mark.parametrize("tail", [
         '{"kind":"probe","payl',
@@ -433,6 +452,30 @@ class TestSchedule:
                      timedelta(days=1), ScriptedResolver({}), ScriptedProber({}),
                      None, store)
         assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_tick_is_not_stored(self, tmp_path):
+        class Interrupting(ScriptedProber):
+            def probe(self, domain, ts):
+                if ts == utc(2021, 1, 3):
+                    raise KeyboardInterrupt
+                return super().probe(domain, ts)
+
+        store, window = TimelineStore(tmp_path), Window(utc(2021, 1, 1), utc(2021, 1, 5))
+        with pytest.raises(KeyboardInterrupt):
+            schedule(["a.com"], window, timedelta(days=1),
+                     ScriptedResolver({"a.com": ["gap", ["1.1.1.1"]]}),
+                     Interrupting({"a.com": ["gap", 200]}), None, store)
+        # whole ticks only: a resolver outage, then a resolution and a prober outage
+        t = store.load("a.com")
+        assert [g[0] for g in t.gaps] == [utc(2021, 1, 1), utc(2021, 1, 2)]
+        assert [r.ts for r in t.resolutions] == [utc(2021, 1, 2)]
+        assert t.probes == []
+        t = schedule(["a.com"], window, timedelta(days=1),
+                     ScriptedResolver({"a.com": [["1.1.1.1"]]}),
+                     ScriptedProber({"a.com": [200]}), None, store)["a.com"]
+        assert [r.ts for r in t.resolutions] == [utc(2021, 1, d) for d in range(2, 6)]
+        assert [p.ts for p in t.probes] == [utc(2021, 1, d) for d in range(3, 6)]
+        assert t == store.load("a.com")
 
     def test_every_line_goes_through_append(self, tmp_path, monkeypatch):
         # the traced benchmark times TimelineStore.append and counts its gaps
