@@ -95,11 +95,11 @@ def read_entry(data: bytes, entry: ZipEntry) -> bytes:
         raise NotAZip(f"bad local header for {entry.path}")
     name_len, extra_len = struct.unpack_from("<HH", data, off + 26)
     start = off + 30 + name_len + extra_len
-    raw = data[start:start + entry.compressed_size]
+    raw = memoryview(data)[start:start + entry.compressed_size]  # a view, not a copy
     if len(raw) != entry.compressed_size:
         raise NotAZip(f"truncated data for {entry.path}")
     if entry.method == STORED:
-        out = raw
+        out = bytes(raw)
     elif entry.method == DEFLATED:
         inflater = zlib.decompressobj(-15)
         try:

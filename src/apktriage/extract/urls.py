@@ -5,7 +5,7 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore import zipread
@@ -16,25 +16,58 @@ from apktriage.util import read_data_text
 if TYPE_CHECKING:  # assoc loads this module for UrlSet and never parses an APK
     from apktriage.apkcore.artifact import ApkArtifact
 
-# With IGNORECASE, _URL_RE has no literal prefix for ``re`` to scan for, so
-# ``_scan_text`` tries it only 5 and 4 characters before each "://".
-_URL_RE = re.compile(r"https?://[^\s\"'<>\\`{}|^\x00-\x1f]+", re.IGNORECASE)
+# With IGNORECASE, the URL pattern has no literal prefix for ``re`` to scan
+# for, so ``_url_matches`` tries it only 5 and 4 characters before each "://".
+# ``%s`` holds what the bytes form also excludes (see ``_BYTES``).
+_URL = r"https?://[^\s\"'<>\\`{}|^\x00-\x1f%s]+"
 # Each IP pattern opens with a character class, so that ``re`` can skip ahead
 # to candidate characters. The check that no digit (or hex digit, ":" or
 # ".") precedes the match is a lookbehind after the first character,
 # spanning that character and the one before it.
-_IPV4_RE = re.compile(r"(\d(?<![\d.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3})(?![\d.])")
-_IPV6_RE = re.compile(r"([0-9A-Fa-f](?<![0-9A-Fa-f:.][0-9A-Fa-f])[0-9A-Fa-f]{0,3}:"
-                      r"(?:[0-9A-Fa-f]{1,4}:){1,6}[0-9A-Fa-f:.]+)")
-# Each IP pattern runs only on texts that hold its gate, a literal that every
-# match of the pattern contains: for an IPv4 address the first dot, the second
-# octet, the next dot and a digit; for an IPv6 address the first colon, the
-# first repeated group and that group's colon. A text the gate skips has no
-# match. Both gates open with a literal character, which ``re`` scans for fast.
-_IPV4_GATE = re.compile(r"\.\d{1,3}\.\d")
-_IPV6_GATE = re.compile(r":[0-9A-Fa-f]{1,4}:")
+_IPV4 = r"(\d(?<![\d.]\d)\d{0,2}\.(?:\d{1,3}\.){2}\d{1,3})(?![\d.])"
+_IPV6 = (r"([0-9A-Fa-f](?<![0-9A-Fa-f:.][0-9A-Fa-f])[0-9A-Fa-f]{0,3}:"
+         r"(?:[0-9A-Fa-f]{1,4}:){1,6}[0-9A-Fa-f:.]+)")
+# Each IP pattern is searched for only from the hits of its gate, a literal
+# that every match of the pattern contains, 1 to 3 (IPv4) or 1 to 4 (IPv6)
+# characters after the match starts: for an IPv4 address the first dot, the
+# second octet, the next dot and a digit; for an IPv6 address the first
+# colon, the first repeated group and that group's colon. Both gates open
+# with a literal character, which ``re`` scans for fast.
+_IPV4_GATE = r"\.\d{1,3}\.\d"
+_IPV6_GATE = r":[0-9A-Fa-f]{1,4}:"
+
+
+class _Patterns(NamedTuple):
+    """The endpoint patterns for one type of text: ``str`` or ``bytes``."""
+    sep: str | bytes
+    url: re.Pattern
+    ipv4_gate: re.Pattern
+    ipv4: re.Pattern
+    ipv6_gate: re.Pattern
+    ipv6: re.Pattern
+
+
+def _patterns(sep: str | bytes, url_excludes: str) -> _Patterns:
+    """The patterns of ``sep``'s type, compiled from the sources above."""
+    def compile_(source: str, flags: int = 0) -> re.Pattern:
+        return re.compile(source if isinstance(sep, str) else source.encode("ascii"), flags)
+    return _Patterns(sep, compile_(_URL % url_excludes, re.IGNORECASE),
+                     compile_(_IPV4_GATE), compile_(_IPV4), compile_(_IPV6_GATE), compile_(_IPV6))
+
+
+# Text assets are decoded and scanned with Unicode semantics; every other
+# entry is scanned as read. In the bytes form the URL class also excludes
+# the bytes above ASCII, and ``\d`` and IGNORECASE are ASCII-only. So a
+# match holds printable ASCII only, and every lookaround reads a byte
+# outside 0x20-0x7e as it reads the end of a text: the bytes form finds what
+# the text form finds in each printable run scanned on its own. A run shorter
+# than 6 bytes holds nothing reported: the shortest URL ``normalize_url``
+# keeps has 8 characters ("http://a"), the shortest IPv4 address 7 and the
+# shortest IPv6 address 6 ("1:2::3", after the rstrip).
+_TEXT = _patterns("://", "")
+_BYTES = _patterns(b"://", r"\x7f-\xff")
+
 _TEXT_SUFFIXES = (".html", ".htm", ".js", ".json", ".xml", ".txt", ".css", ".properties", ".cfg")
-_PRINTABLE_OR_NL = bytes(b if 0x20 <= b <= 0x7E else 0x0A for b in range(256))
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 # ranked whitelist lines kept, counted from the top of the file
 WHITELIST_LIMIT = 10_000
@@ -75,6 +108,9 @@ def _host_of(url: str) -> str:
 
 
 def _is_ip(host: str) -> bool:
+    # without a ":" only IPv4 can parse, and only from digits and dots
+    if ":" not in host and not host.replace(".", "").isdigit():
+        return False
     try:
         ipaddress.ip_address(host)
         return True
@@ -82,37 +118,72 @@ def _is_ip(host: str) -> bool:
         return False
 
 
-def _scan_text(text: str, urls: set[str], ips: set[str]) -> None:
+def _url_matches(text: str | bytes, p: _Patterns):
+    """What ``p.url.finditer(text)`` yields, tried only 5 and 4 characters
+    before each separator."""
     end = 0  # as in ``finditer``, no match starts inside the previous one
-    i = text.find("://")
+    i = text.find(p.sep)
     while i >= 0:
         for start in (i - 5, i - 4):
-            m = _URL_RE.match(text, start) if start >= end else None
+            m = p.url.match(text, start) if start >= end else None
             if m:
                 end = m.end()
-                url = normalize_url(m.group(0))
-                if url:
-                    urls.add(url)
+                yield m.group(0)
                 break
-        i = text.find("://", i + 3)
-    if _IPV4_GATE.search(text):
-        for m in _IPV4_RE.finditer(text):
-            try:
-                ipaddress.IPv4Address(m.group(1))
-            except ValueError:
-                continue
-            ips.add(m.group(1))
-    if _IPV6_GATE.search(text):
-        for m in _IPV6_RE.finditer(text):
-            cand = m.group(1).rstrip(":.")
-            try:
-                ip = ipaddress.IPv6Address(cand)
-            except ValueError:
-                continue
-            ips.add(str(ip))
+        i = text.find(p.sep, i + 3)
+
+
+def _ip_matches(text: str | bytes, gate: re.Pattern, pattern: re.Pattern, back: int):
+    """The address group of each match ``pattern.finditer(text)`` yields,
+    searched for only from each gate hit. A match's gate starts 1 to
+    ``back`` characters after the match does, and the gate has no
+    lookaround, so no match starts more than ``back`` characters before
+    the first gate hit at or after ``pos``; ``search`` from there gives the
+    leftmost match, as ``finditer`` would. Each character is scanned at
+    most once by the gate and once by the pattern, plus ``back`` per
+    match."""
+    pos = 0
+    while (g := gate.search(text, pos)) and (m := pattern.search(text, max(g.start() - back, pos))):
+        yield m.group(1)
+        pos = m.end()
+
+
+def _unseen(raws, seen: set):
+    """Each raw match not in ``seen``, as ``str``: a match of the bytes
+    form holds printable ASCII only."""
+    for raw in raws:
+        if raw not in seen:
+            seen.add(raw)
+            yield raw if isinstance(raw, str) else raw.decode("ascii")
+
+
+def _scan_text(text: str | bytes, urls: set[str], ips: set[str]) -> None:
+    p = _TEXT if isinstance(text, str) else _BYTES
+    # What each family reports depends on the raw match alone, and no raw
+    # match of one family is one of another (a URL holds "://", an IPv6
+    # match a ":", an IPv4 match neither), so a repeat is parsed once.
+    seen = set()
+    for raw in _unseen(_url_matches(text, p), seen):
+        url = normalize_url(raw)
+        if url:
+            urls.add(url)
+    for raw in _unseen(_ip_matches(text, p.ipv4_gate, p.ipv4, 3), seen):
+        try:
+            ipaddress.IPv4Address(raw)
+        except ValueError:
+            continue
+        ips.add(raw)
+    for raw in _unseen(_ip_matches(text, p.ipv6_gate, p.ipv6, 4), seen):
+        try:
+            ip = ipaddress.IPv6Address(raw.rstrip(":."))
+        except ValueError:
+            continue
+        ips.add(str(ip))
 
 
 def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
+    """The endpoints in ``strings``: each a ``str``, or the ``bytes`` of an
+    entry, which are searched as their printable-ASCII runs."""
     urls: set[str] = set()
     ips: set[str] = set()
     for s in strings:
@@ -127,29 +198,18 @@ def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
     return UrlSet(frozenset(urls), frozenset(ips), frozenset(domains))
 
 
-def _printable_runs(data: bytes) -> str:
-    """The whole entry as text, each printable-ASCII run between "\n"s.
-
-    The reference scans each run of at least 6 bytes on its own. A shorter
-    run holds nothing it reports: the shortest URL ``normalize_url`` keeps
-    has 8 characters ("http://a"), the shortest IPv4 address 7 and the
-    shortest IPv6 address 6 ("1:2::3", after the rstrip). No pattern matches
-    across "\n" and every lookaround treats it like the end of a string, so
-    one scan of this text finds what the reference finds.
-    """
-    return data.translate(_PRINTABLE_OR_NL).decode("ascii")
-
-
 def extract_urls(apk: ApkArtifact, psl: SuffixList,
                  decrypted: dict[str, bytes] | None = None) -> UrlSet:
     """Scan every string source in the APK for http(s) URLs and IP literals.
 
-    Sources: decoded text assets, the ``decrypted`` plaintext of protected
-    entries (path -> bytes), and printable ASCII runs from all remaining
-    entries. An entry that cannot be read is skipped. Order-independent.
+    Each entry's bytes, or its ``decrypted`` plaintext (path -> bytes),
+    are scanned whole: a text asset (``_TEXT_SUFFIXES``) as UTF-8 text,
+    any other entry as read, with the bytes form of the patterns, which
+    finds what the text form finds in each printable-ASCII run on its own.
+    An entry that cannot be read is skipped. Order-independent.
     """
     decrypted = decrypted or {}
-    def texts():  # one at a time, so that only one entry's text is held
+    def texts():  # one at a time, not every entry at once
         for entry in apk.entries:
             data = decrypted.get(entry.path)
             if data is None:
@@ -160,7 +220,7 @@ def extract_urls(apk: ApkArtifact, psl: SuffixList,
             if entry.path.lower().endswith(_TEXT_SUFFIXES):
                 yield data.decode("utf-8", "replace")
             else:
-                yield _printable_runs(data)
+                yield data
     return urlset_from_strings(texts(), psl)
 
 

@@ -1,8 +1,10 @@
 """URL extraction, suffix-list reduction, whitelist filtering, paradigm
 classification and snapshot-fingerprint tests."""
 
+import ipaddress
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,8 +20,6 @@ from apktriage.extract.paradigm import classify_paradigm
 from apktriage.extract.psl import load_suffix_list
 from apktriage.extract.snapshot import ImageUndecodable, snapshot_fingerprint
 from apktriage.extract.urls import (
-    _IPV4_RE,
-    _IPV6_RE,
     extract_urls,
     filter_whitelist,
     load_whitelist,
@@ -138,6 +138,37 @@ class TestUrlExtraction:
         assert "http://kept.example/a" in u.urls
         assert not any("lost" in x for x in u.urls)
 
+    @pytest.mark.parametrize("host", [
+        "", "1.2.3", "01.2.3.4", "\u0661.\u0662.\u0663.\u0664", "fe80::1%eth0", "a.b",
+        "1.2.3.4", "255.255.255.256", "1..2.3", "\u00b9.2.3.4", "::", "a:b", "example.com"])
+    def test_is_ip_matches_ipaddress(self, host):
+        try:
+            ipaddress.ip_address(host)
+            want = True
+        except ValueError:
+            want = False
+        assert urls._is_ip(host) is want
+
+    @pytest.mark.parametrize("form", [str, bytes])
+    def test_repeated_endpoint_parsed_once(self, monkeypatch, form):
+        text = "http://a.example/p 1.2.3.4 1:2::3 999.1.2.3 " * 10_000
+        calls = {}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(urls, "normalize_url", counted("normalize_url", urls.normalize_url))
+        monkeypatch.setattr(urls, "ipaddress", types.SimpleNamespace(**{
+            name: counted(name, getattr(ipaddress, name))
+            for name in ("ip_address", "IPv4Address", "IPv6Address")}))
+        u = urlset_from_strings([text if form is str else text.encode()], PSL)
+        assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_urlset([text], PSL)
+        # one parse per distinct candidate, the rejected "999.1.2.3" included
+        assert calls == {"normalize_url": 1, "IPv4Address": 2, "IPv6Address": 1}
+
     def test_each_entry_read_once_through_its_record(self, monkeypatch):
         # a lookup by path per entry would make a scan quadratic in the
         # entry count
@@ -191,11 +222,16 @@ def _check_apk(files: dict[str, bytes]) -> None:
 
 
 def _check_patterns(text: str) -> None:
-    assert _IPV4_RE.findall(text) == url_oracle.IPV4_RE.findall(text)
-    assert _IPV6_RE.findall(text) == url_oracle.IPV6_RE.findall(text)
+    assert urls._TEXT.ipv4.findall(text) == url_oracle.IPV4_RE.findall(text)
+    assert urls._TEXT.ipv6.findall(text) == url_oracle.IPV6_RE.findall(text)
     # the gated scan of the whole text, against the ungated reference
     u = urlset_from_strings([text], PSL)
     assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_urlset([text], PSL)
+    # the same text as an entry's bytes, against the reference's printable runs
+    data = text.encode()
+    u = urlset_from_strings([data], PSL)
+    assert (u.urls, u.ip_literals, u.domains) == \
+        url_oracle.oracle_urlset(url_oracle.printable_runs(data), PSL)
 
 
 class TestOracle:
@@ -257,6 +293,13 @@ _island_st = st.one_of(st.sampled_from(_ISLANDS),
 _gap_st = st.binary(min_size=1, max_size=3).map(
     lambda b: bytes(_NON_PRINTABLE[x % len(_NON_PRINTABLE)] for x in b))
 
+# Bytes that end a printable run (a tab and a newline among them), the
+# characters of IP literals and brackets, and the pieces of a scheme.
+_byte_fragment_st = st.one_of(
+    st.sampled_from([b"\x00", b"\x09", b"\x0a", b"\x1f", b"\x7f", b"\x80", b"\xff"]),
+    st.sampled_from([bytes([c]) for c in b"0123456789.:abcdefABCDEF[]"]),
+    st.sampled_from([b"://", b"http", b"HTTPS"]))
+
 
 @st.composite
 def _binary_entry_st(draw):
@@ -269,7 +312,7 @@ def _binary_entry_st(draw):
 
 
 class TestWholeEntryScan:
-    """Each non-text entry is scanned whole, with ``_URL_RE`` tried only at
+    """Each non-text entry is scanned whole, with the URL pattern tried only at
     each "://"; the per-run reference in ``url_oracle`` must agree."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -301,17 +344,21 @@ class TestWholeEntryScan:
         apk = open_apk(build_apk(extra_files={"res/raw/blob.bin": blob}), KNOWN)
         k = sum(zipread.read_entry(apk.raw, e).count(b"://") for e in apk.entries)
         calls = []
-        real = urls._URL_RE
 
         class Counted:
+            def __init__(self, real):
+                self.real = real
+
             def match(self, text, pos=0):
                 calls.append(pos)
-                return real.match(text, pos)
+                return self.real.match(text, pos)
 
             def __getattr__(self, name):
-                raise AssertionError(f"_URL_RE.{name} used")
+                raise AssertionError(f"URL pattern .{name} used")
 
-        monkeypatch.setattr(urls, "_URL_RE", Counted())
+        for form in ("_TEXT", "_BYTES"):  # both compiled URL patterns
+            patterns = getattr(urls, form)
+            monkeypatch.setattr(urls, form, patterns._replace(url=Counted(patterns.url)))
         u = extract_urls(apk, psl=PSL)
         assert {f"http://h{i}.example/p" for i in range(40)} <= u.urls
         assert k >= len(planted) and 0 < len(calls) <= 2 * k
@@ -327,7 +374,51 @@ class TestWholeEntryScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * size
+        assert peak < 3.5 * size
+
+    @pytest.mark.parametrize("form", ["_TEXT", "_BYTES"])
+    def test_ip_patterns_searched_once_per_match(self, monkeypatch, form):
+        # multi-MB text that hits both gates at nearly every character, with
+        # k planted addresses: a search per gate hit, or a finditer that
+        # tries the pattern at every digit, would cost far more calls or time
+        k = 30
+        text = "".join(".1" * 40_000 + f" 10.{i}.0.1 " + "1a:" * 30_000 + f" 2001:db8::{i + 1:x} "
+                       for i in range(k))
+        assert len(text) > 5_000_000
+        calls = {}
+
+        class Counted:
+            def __init__(self, name, real):
+                self.name, self.real = name, real
+
+            def search(self, text, pos=0):
+                calls[self.name] = calls.get(self.name, 0) + 1
+                return self.real.search(text, pos)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"{self.name}.{name} used")
+
+        patterns = getattr(urls, form)
+        monkeypatch.setattr(urls, form, patterns._replace(**{
+            name: Counted(name, getattr(patterns, name))
+            for name in ("ipv4", "ipv6", "ipv4_gate", "ipv6_gate")}))
+        u = urlset_from_strings([text if form == "_TEXT" else text.encode()], PSL)
+        assert (u.urls, u.ip_literals, u.domains) == url_oracle.oracle_urlset([text], PSL)
+        assert {f"10.{i}.0.1" for i in range(k)} | {f"2001:db8::{i + 1:x}" for i in range(k)} \
+            == u.ip_literals
+        v4, v6 = (len(p.findall(text)) for p in (url_oracle.IPV4_RE, url_oracle.IPV6_RE))
+        assert v4 == k and v6 == 2 * k  # each "1a:" run is one IPv6 match, then rejected
+        assert calls["ipv4_gate"] <= v4 + 1 and calls["ipv4"] <= v4 + 1
+        assert calls["ipv6_gate"] <= v6 + 1 and calls["ipv6"] <= v6 + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(_byte_fragment_st, max_size=40), min_size=1, max_size=3))
+    def test_byte_alphabet_matches_oracle(self, entries):
+        # the same bytes as binary entries and as text assets
+        blobs = [b"".join(fragments) for fragments in entries]
+        files = dict(zip(_BINARY_NAMES, blobs))
+        files.update(zip(_TEXT_NAMES, blobs))
+        _check_apk(files)
 
 
 class TestWhitelist:

@@ -89,8 +89,13 @@ def oracle_extract(apk_bytes: bytes, psl) -> tuple[frozenset, frozenset, frozens
             if info.filename.lower().endswith(TEXT_SUFFIXES):
                 strings.append(data.decode("utf-8", "replace"))
             else:
-                strings.extend(m.group(0).decode("ascii") for m in STRINGS_RE.finditer(data))
+                strings.extend(printable_runs(data))
     return oracle_urlset(strings, psl)
+
+
+def printable_runs(data: bytes) -> list[str]:
+    """The runs of at least 6 printable-ASCII bytes in ``data``."""
+    return [m.group(0).decode("ascii") for m in STRINGS_RE.finditer(data)]
 
 
 def oracle_urlset(strings, psl) -> tuple[frozenset, frozenset, frozenset]:
