@@ -5,9 +5,12 @@ Each sample is posted under blocking keys in one table per rule, and
 each rule is decided from the keys of its own table that a pair shares,
 so only pairs that share a key are looked at:
 
-- Signature: an equal developer fingerprint, or a shared ``k``-subset of
-  the non-blank ``(DN field, stripped value)`` pairs, which is exactly
-  ``k`` or more equal non-blank fields (``k = MIN_SIGNATURE_FIELD_MATCHES``).
+- Signature: an equal developer fingerprint, or ``k`` or more equal
+  non-blank ``(DN field, stripped value)`` pairs
+  (``k = MIN_SIGNATURE_FIELD_MATCHES``). A sample is posted under its
+  fingerprint and its distinct DN tuple. Which distinct DNs share ``k``
+  fields is worked out once per DN, when it first appears: through a
+  shared ``k``-subset, which exists exactly when ``k`` fields are equal.
 - Url: the number of registrable-domain postings a pair shares is
   ``|a & b|``, so the overlap coefficient comes from that count as
   ``overlap`` computes it, without intersecting the sets.
@@ -15,13 +18,16 @@ so only pairs that share a key are looked at:
 - Snapshot: a pair within Hamming distance ``d`` agrees exactly on at
   least one of ``d + 1`` blocks of the 64-bit dHash (pigeonhole;
   ``d = SNAPSHOT_MAX_BITS``). A shared block makes a pair only a
-  candidate: this is the one rule checked again, by popcount.
+  candidate: this is the one rule checked again, by popcount of the
+  XOR of the two hashes, which each block posting holds next to the
+  sample.
 
 Keys in different tables never meet, so a domain equal to an IP or a DN
 value links nothing. ``fired_rules`` in ``rules.py`` is the per-pair
 reference these decisions agree with. Groups are the connected
 components of the edge set, so the output is independent of input
-ordering.
+ordering. Nothing built here holds a cycle, so ``build_graph`` runs with
+the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from apktriage.apkcore.certs import DN_FIELDS
 from apktriage.assoc.features import SampleFeatures
 from apktriage.assoc.rules import (MIN_SIGNATURE_FIELD_MATCHES, RULE_SHARED_IP,
                                    RULE_SIGNATURE, RULE_SNAPSHOT, RULE_URL,
-                                   SNAPSHOT_MAX_BITS, URL_OVERLAP_THRESHOLD,
-                                   assoc_snapshot)
+                                   SNAPSHOT_MAX_BITS, URL_OVERLAP_THRESHOLD)
+from apktriage.util import gc_paused
 
 
 class DuplicateSampleId(ValueError):
@@ -86,63 +92,94 @@ _RULES = {hits: tuple(r for r, hit in zip(
     for hits in product((False, True), repeat=4)}
 
 
-def _signature_keys(s: SampleFeatures) -> list:
-    """The fingerprint (a str) and every k-subset of the non-blank,
-    stripped DN pairs (tuples), so the two kinds of key never collide."""
+def _dn(s: SampleFeatures):
+    """The developer fingerprint and the non-blank, stripped DN pairs, in
+    DN_FIELDS order; None without a developer signature."""
     sig = s.developer_signature
     if sig is None:
-        return []
-    dn = [(f, v) for f in DN_FIELDS if (v := sig.dn_fields.get(f, "").strip())]
-    return [sig.fingerprint, *combinations(dn, MIN_SIGNATURE_FIELD_MATCHES)]
+        return None
+    dn = sig.dn_fields
+    return sig.fingerprint, tuple((f, v) for f in DN_FIELDS if (v := dn.get(f, "").strip()))
 
 
-def _fired_pairs(ordered: list[SampleFeatures]) -> list[tuple[int, int, tuple[str, ...]]]:
-    """(i, j, rules) for every index pair i < j on which a rule fires."""
-    by_sig, by_dom, by_ip, by_snap = (defaultdict(list) for _ in range(4))
+def _link_dn(dn: tuple, dn_links: dict, by_subset: defaultdict) -> list:
+    """Record a newly seen distinct DN in ``dn_links``: the distinct DNs
+    it shares k or more fields with, itself included, found through the
+    k-subsets (``by_subset``) they share; each of those gains it too."""
+    subsets = [by_subset[c] for c in combinations(dn, MIN_SIGNATURE_FIELD_MATCHES)]
+    links = dn_links[dn] = list(dict.fromkeys(chain.from_iterable(subsets)))
+    for other in links:
+        dn_links[other].append(dn)
+    if subsets:  # fewer than k fields match nothing, itself included
+        links.append(dn)
+    for posting in subsets:
+        posting.append(dn)
+    return links
+
+
+def _fired_rows(ordered: list[SampleFeatures]) -> list[list[tuple[int, tuple[str, ...]]]]:
+    """For each index i, (j, rules) for every j > i on which a rule fires,
+    in increasing j: the pairs in sorted order, with no sort."""
+    by_fp, by_dn, by_dom, by_ip, by_snap, by_subset = (defaultdict(list) for _ in range(6))
+    dn_links: dict[tuple, list[tuple]] = {}
     n_domains: list[int] = []
-    fired = []
+    rows: list[list] = [[] for _ in ordered]
     for j, s in enumerate(ordered):
+        sig_p, sig_own = [], ()
+        if (signer := _dn(s)) is not None:
+            fp, dn = signer
+            links = dn_links.get(dn)
+            if links is None:
+                links = _link_dn(dn, dn_links, by_subset)
+            sig_own = by_fp[fp], by_dn[dn]
+            sig_p = [by_fp[fp], *(by_dn[d] for d in links)]
         domains = s.url_set.domains
-        snap_keys = {(b, (v.hash_bits >> lo) & mask) for v in s.fingerprints
-                     for b, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS)}
-        sig_p = [by_sig[k] for k in _signature_keys(s)]
         dom_p = [by_dom[d] for d in domains]
         ip_p = [by_ip[ip] for ip in s.resolved_ips]
-        snap_p = [by_snap[k] for k in snap_keys]
         # earlier samples only: j joins its postings after they are read
         sig_hits = set().union(*sig_p)
         shared_domains = Counter(chain.from_iterable(dom_p))
         ip_hits = set().union(*ip_p)
-        snap_cands = set().union(*snap_p)
-        for posting in chain(sig_p, dom_p, ip_p, snap_p):
+        snap_hits = set()
+        snap_p = []
+        for h in {v.hash_bits for v in s.fingerprints}:
+            for b, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS):
+                posting = by_snap[b, (h >> lo) & mask]
+                for i, g in posting:
+                    if (g ^ h).bit_count() <= SNAPSHOT_MAX_BITS:
+                        snap_hits.add(i)
+                snap_p.append((posting, h))
+        for posting in chain(sig_own, dom_p, ip_p):
             posting.append(j)
+        for posting, h in snap_p:
+            posting.append((j, h))
         n = len(domains)
         n_domains.append(n)
         url_hits = {i for i, c in shared_domains.items()
                     if c / min(n_domains[i], n) >= URL_OVERLAP_THRESHOLD}
-        snap_hits = {i for i in snap_cands if assoc_snapshot(ordered[i], s)}
-        fired.extend((i, j, _RULES[i in sig_hits, i in url_hits, i in ip_hits, i in snap_hits])
-                     for i in sig_hits | url_hits | ip_hits | snap_hits)
-    fired.sort()
-    return fired
+        for i in sig_hits | url_hits | ip_hits | snap_hits:
+            rows[i].append((j, _RULES[i in sig_hits, i in url_hits, i in ip_hits, i in snap_hits]))
+    return rows
 
 
 def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
-    dupes = sorted(i for i, n in Counter(s.sample_id for s in samples).items() if n > 1)
-    if dupes:
-        raise DuplicateSampleId("duplicate sample ids: " + ", ".join(dupes))
+    with gc_paused():  # postings, pairs, edges and adjacency hold no cycle
+        dupes = sorted(i for i, n in Counter(s.sample_id for s in samples).items() if n > 1)
+        if dupes:
+            raise DuplicateSampleId("duplicate sample ids: " + ", ".join(dupes))
 
-    ordered = sorted(samples, key=lambda s: s.sample_id)
-    nodes = tuple(s.sample_id for s in ordered)
-    edges = []
-    adj: dict[str, set[str]] = {n: set() for n in nodes}
-    for i, j, rules in _fired_pairs(ordered):
-        a, b = nodes[i], nodes[j]
-        edges.append((a, b, rules))
-        adj[a].add(b)
-        adj[b].add(a)
-    return AssociationGraph(nodes=nodes, edges=tuple(edges),
-                            groups=_components(nodes, adj))
+        ordered = sorted(samples, key=lambda s: s.sample_id)
+        nodes = tuple(s.sample_id for s in ordered)
+        edges = []
+        adj: dict[str, set[str]] = {n: set() for n in nodes}
+        for a, row in zip(nodes, _fired_rows(ordered)):
+            for j, rules in row:
+                b = nodes[j]
+                edges.append((a, b, rules))
+                adj[a].add(b)
+                adj[b].add(a)
+        groups = _components(nodes, adj)
+    return AssociationGraph(nodes=nodes, edges=tuple(edges), groups=groups)
 
 
 def _array(parts, indent: int) -> str:
@@ -160,17 +197,19 @@ def graph_to_json(g: AssociationGraph) -> str:
 
     The shape is fixed and every leaf is a string, so the layout is written
     directly: ``json.dumps`` runs its pure-Python encoder whenever
-    ``indent`` is set. Strings go through the stdlib's C escaper, and each
-    distinct rule tuple is formatted once."""
+    ``indent`` is set. Strings go through the stdlib's C escaper, each
+    node id once (edges and groups name nodes), and each distinct rule
+    tuple is formatted once."""
+    quoted = dict(zip(g.nodes, map(_quote, g.nodes)))
     rules_json: dict[tuple[str, ...], str] = {}
     edges = []
     for a, b, rules in g.edges:
         r = rules_json.get(rules)
         if r is None:
             r = rules_json[rules] = _array(list(map(_quote, rules)), 6)
-        edges.append(f'{{\n      "a": {_quote(a)},\n      "b": {_quote(b)},'
+        edges.append(f'{{\n      "a": {quoted[a]},\n      "b": {quoted[b]},'
                      f'\n      "rules": {r}\n    }}')
-    groups = [_array(list(map(_quote, c)), 4) for c in g.groups]
-    nodes = list(map(_quote, g.nodes))
+    groups = [_array([quoted[n] for n in c], 4) for c in g.groups]
+    nodes = [quoted[n] for n in g.nodes]
     return (f'{{\n  "edges": {_array(edges, 2)},\n  "groups": {_array(groups, 2)},'
             f'\n  "nodes": {_array(nodes, 2)}\n}}\n')

@@ -188,6 +188,7 @@ def urlset_from_strings(strings, psl: SuffixList) -> UrlSet:
     ips: set[str] = set()
     for s in strings:
         _scan_text(s, urls, ips)
+        del s  # not held while the next entry is inflated
     domains = set()
     for u in urls:
         host = _host_of(u)

@@ -210,7 +210,7 @@ def cmd_assoc(args) -> int:
     features = read_features_jsonl(args.features)
     graph = build_graph(features)
     _write(args.output + ".graph.json", graph_to_json(graph))
-    corpus_size = args.corpus_size or len(features)
+    corpus_size = len(features) if args.corpus_size is None else args.corpus_size
     labels = {s.sample_id: s.label for s in features if s.label}
     emit_report(args.output, *group_table(group_stats(graph, labels, corpus_size)))
     return EXIT_OK

@@ -111,6 +111,24 @@ def test_assoc_duplicate_ids_are_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "X, Y" in err
 
 
+@pytest.mark.parametrize("size,rc", [(None, 0), ("2", 0), ("5", 0), ("1", 1), ("0", 1), ("-3", 1)])
+def test_assoc_corpus_size_below_the_sample_count_is_an_input_error(tmp_path, capsys, size, rc):
+    # an explicit 0 is a value like any other, not "absent"
+    row = {"sample_id": "X", "signature": None, "urls": [], "domains": [],
+           "ip_literals": [], "resolved_ips": [], "fingerprints": [], "label": None}
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(json.dumps(dict(row, sample_id=sid)) + "\n" for sid in "XY"))
+    out = tmp_path / "a"
+    argv = ["assoc", str(features), "--output", str(out)]
+    assert main(argv + (["--corpus-size", size] if size else [])) == rc
+    if rc:
+        assert capsys.readouterr().err == (
+            "error: corpus_size smaller than the graph's node count\n")
+    else:
+        pcts = [r["corpus_pct"] for r in json.loads((tmp_path / "a.json").read_text())]
+        assert pcts == [100.0 / int(size or 2)] * 2
+
+
 GOOD_FEATURES = {"sample_id": "ok", "signature": None, "urls": [], "domains": [],
                  "ip_literals": [], "resolved_ips": [], "fingerprints": [], "label": None}
 

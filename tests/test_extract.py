@@ -374,7 +374,7 @@ class TestWholeEntryScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * size
+        assert peak < 2.5 * size
 
     @pytest.mark.parametrize("form", ["_TEXT", "_BYTES"])
     def test_ip_patterns_searched_once_per_match(self, monkeypatch, form):

@@ -2,8 +2,12 @@
 threshold monotonicity, partition invariants, percentage-sum bounds and
 emission determinism."""
 
+import enum
+import json
+import re
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +141,66 @@ def test_emission_determinism(rows):
     header = ["A", "B", "C", "D"]
     assert _csv_string(header, rows) == _csv_string(header, rows)
     assert _json_string(rows) == _json_string(rows)
+
+
+# leaves of every JSON type: non-ASCII, control and surrogate-free astral
+# characters, ints past 64 bits, signed zero, extremes and non-finite floats
+leaf_st = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, 1e16, 0.1,
+                                  float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600')))
+json_tree_st = st.recursive(
+    leaf_st,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@CASES
+@given(json_tree_st)
+def test_json_string_writes_what_json_dumps_writes(obj):
+    assert _json_string(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Kind(enum.IntEnum):
+    A = 1
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "F"
+
+
+@pytest.mark.parametrize("obj", [
+    {3: "a", 2.5: [None], False: 1},  # keys json converts
+    {None: {"a": 1}},
+    {"a": _Kind.A, "b": [_Str("x")], "c": _Float(1.5)},  # subclasses of leaves
+    [{"a": {"b": [[]]}}, {}, ()],
+    [[[[[]]]]] * 3,
+], ids=["number-keys", "null-key", "subclasses", "empty", "nested"])
+def test_json_string_matches_json_dumps_on_odd_inputs(obj):
+    assert _json_string(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", ["cycle", {"a": 1, 2: 3}, {"a": {1, 2}}, "deep"])
+def test_json_string_raises_where_json_dumps_raises(obj):
+    if obj == "cycle":
+        obj = []
+        obj.append(obj)
+    elif obj == "deep":
+        obj = []
+        for _ in range(100_000):
+            obj = [obj]
+    with pytest.raises(Exception) as want:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        _json_string(obj)
 
 
 @CASES

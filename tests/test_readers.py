@@ -3,16 +3,21 @@ independent oracle: the line loops they had before the shared checked
 reader, copied here. The oracle imports nothing from ``apktriage``, so on
 every well-formed file the records must agree field for field."""
 
+import gc
 import json
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apktriage.assoc.features import read_features_jsonl
+from apktriage.assoc.graph import build_graph
+from apktriage.infrawatch.timeline import Probe, Resolution, TimelineStore, WhoisRecord
 from apktriage.payclass.sessions import read_observations_jsonl
 from apktriage.reportcli.taxonomy import read_labels_jsonl
-from apktriage.util import json_lines
+from apktriage.util import gc_paused, json_lines
 
 CASES = settings(max_examples=100, deadline=None)
 
@@ -129,3 +134,175 @@ def test_json_lines_keeps_program_faults():
 
     with pytest.raises(TypeError):
         json_lines("f.jsonl", ['{"a": "x"}'], parse)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # json recurses out on it
+json_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | text_st,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text_st, inner, max_size=3),
+    max_leaves=8)
+# a JSON text, or a value json.loads rejects: a BOM, trailing data, a cut
+# value, a bare word, or nesting too deep
+value_st = st.one_of(
+    json_st.map(json.dumps),
+    json_st.map(lambda v: json.dumps(v, indent=1)),
+    st.tuples(json_st, json_st).map(lambda t: f"{json.dumps(t[0])} {json.dumps(t[1])}"),
+    json_st.map(lambda v: "\ufeff" + json.dumps(v)),
+    json_st.map(lambda v: json.dumps(v)[:-1]),
+    st.sampled_from(["NaN", "-Infinity", "nan", "[NaN, Infinity]", "1e400", "-0",
+                     "{}x", "tru", '"\\ud800"', '"a\tb"', "[1,]", DEEP]),
+    text_st)
+# padding str.strip removes; of it, only " ", "\t", "\n" and "\r" is JSON
+# whitespace
+strip_pad_st = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=2)
+
+
+def _loads_each(lines):
+    """Per-line ``json.loads`` of each stripped non-blank line: the
+    decoded objects, then the error of the first line it rejects."""
+    out = []
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if line:
+            try:
+                out.append(json.loads(line))
+            except (ValueError, RecursionError) as e:
+                return out, f"f.jsonl, line {n}: {e}"
+    return out, None
+
+
+@CASES
+@given(lines=st.lists(st.tuples(strip_pad_st, value_st, strip_pad_st).map("".join), max_size=5))
+def test_json_lines_decodes_as_json_loads(lines):
+    want, error = _loads_each(lines)
+    seen = []
+    try:
+        json_lines("f.jsonl", lines, lambda obj: seen.append(obj) or obj)
+    except ValueError as e:
+        assert str(e) == error
+    else:
+        assert error is None
+    # repr tells NaN, -0.0 and 1.0 apart from what == would let pass
+    assert repr(seen) == repr(want)
+
+
+def test_json_lines_restores_the_collector_on_error():
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(ValueError):
+                json_lines("f.jsonl", ["1", "{"], lambda obj: obj)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_previous_state(enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with gc_paused():
+                raise KeyError("x")
+        assert gc.isenabled() is enabled
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the inner pause leaves the outer one
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def _features_file(path, n):
+    """n features records in developer groups of five: shared DN fields,
+    domains, IPs and near-equal dHashes, so every rule fires within a
+    group and none across groups."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n):
+            g = i // 5
+            f.write(json.dumps({
+                "sample_id": f"s{i:05d}",
+                "signature": {"fingerprint": f"fp{i}", "signature_class": "DeveloperSpecific",
+                              "dn_fields": {"commonName": f"dev{g}", "organization": f"org{g}",
+                                            "locality": "x", "country": str(i)}},
+                "domains": [f"{x}{g}.example" for x in "abc"] + [f"e{i}.example"],
+                "urls": [], "ip_literals": [], "resolved_ips": [f"10.0.{g % 250}.1"],
+                "fingerprints": [{"hash": f"{(g * 0x9E3779B97F4A7C15) % 2 ** 64 ^ (1 << i % 5):016x}",
+                                  "source": "icon"}],
+                "label": {"top": "Sex"}}) + "\n")
+
+
+def _labels_file(path, n):
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n):
+            f.write(json.dumps({"sample_id": f"s{i}", "top": "Gambling", "sub": "Lotteries",
+                                "tactics": ["P1"], "behavior": {"U1": "Major"}}) + "\n")
+
+
+def _observations_file(path, n):
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n):
+            f.write(json.dumps({"session_id": f"s{i // 3}", "request_index": i % 3,
+                                "amount": f"{i}.50", "payment_domain": "pay.example",
+                                "recipient_id": f"acct-{i}"}) + "\n")
+
+
+def _store(root, n):
+    store = TimelineStore(root)
+    t0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    store.set_whois("x.example", t0, WhoisRecord("reg", "CN", "2020-01-01"))
+    for i in range(n):
+        ts = t0 + timedelta(days=i)
+        store.append_resolution("x.example", Resolution(ts, frozenset({f"10.0.0.{i % 9}"})))
+        store.append_probe("x.example", Probe(ts, i % 4 != 0, "2xx" if i % 4 else "timeout"))
+        store.append_gap("x.example", ts, "resolver unavailable")
+    store.close()
+    return store
+
+
+def _garbage(build):
+    """How many unreachable objects the collector finds once the result
+    of ``build()``, run with the collector off, is dropped: what a pause
+    would leave to the collector, had the builder made cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = build()
+        del result
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("builder", ["features", "graph", "labels", "observations", "store"])
+def test_builders_run_paused_make_no_cycles(tmp_path, builder):
+    # the collector is paused while these build their records, which is
+    # safe only when what they build is acyclic: ten times the input must
+    # leave no more for the collector than the small input does
+    found = []
+    for n in (30, 300):
+        d = tmp_path / str(n)
+        d.mkdir()
+        if builder in ("features", "graph"):
+            _features_file(d / "f.jsonl", n)
+            feats = read_features_jsonl(d / "f.jsonl")
+            build = {"features": lambda: read_features_jsonl(d / "f.jsonl"),
+                     "graph": lambda: build_graph(feats)}[builder]
+        elif builder == "labels":
+            _labels_file(d / "l.jsonl", n)
+            build = lambda: read_labels_jsonl(d / "l.jsonl")
+        elif builder == "observations":
+            _observations_file(d / "o.jsonl", n)
+            build = lambda: read_observations_jsonl(d / "o.jsonl")
+        else:
+            store = _store(d / "store", n)
+            build = lambda: store.load("x.example")
+        result = build()
+        assert result and (builder != "graph" or result.edges)  # the input is not trivial
+        del result
+        found.append(_garbage(build))
+    assert found[1] <= found[0], found
