@@ -77,9 +77,6 @@ class _StringPool:
         self.base = chunk_off + strings_start
         self.data = data
 
-    def __len__(self):
-        return len(self.offsets)
-
     def get(self, idx: int) -> str:
         if idx == 0xFFFFFFFF:
             return ""

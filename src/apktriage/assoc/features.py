@@ -1,22 +1,25 @@
-"""Per-sample association features, read from JSON lines."""
+"""Per-sample association features, read from JSON lines. A record keeps
+only what a rule reads; ``urls``, ``ip_literals`` and each fingerprint's
+``source`` are checked, not kept."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from apktriage.apkcore.certs import CLASS_DEVELOPER, SignerIdentity
-from apktriage.extract.snapshot import VisualFingerprint
-from apktriage.extract.urls import UrlSet
 from apktriage.util import read_json_lines
+
+_HEX = re.compile(r"[0-9A-Fa-f]+")
 
 
 @dataclass(frozen=True)
 class SampleFeatures:
     sample_id: str
     signature: SignerIdentity | None
-    url_set: UrlSet
+    domains: frozenset[str]
     resolved_ips: frozenset[str] = frozenset()
-    fingerprints: tuple[VisualFingerprint, ...] = ()
+    fingerprints: tuple[int, ...] = ()  # 64-bit snapshot hashes
     label: dict | None = None
 
     @property
@@ -27,11 +30,11 @@ class SampleFeatures:
         return None
 
 
-def _strings(obj: dict, key: str) -> frozenset[str]:
+def _strings(obj: dict, key: str) -> list[str]:
     values = obj.get(key, [])
     if type(values) is not list or not all(type(v) is str for v in values):
         raise ValueError(f"{key!r} must be a list of strings")
-    return frozenset(values)
+    return values
 
 
 def _signature(s) -> SignerIdentity | None:
@@ -50,13 +53,17 @@ def _signature(s) -> SignerIdentity | None:
     return SignerIdentity(fingerprint=fp, dn_fields=dn, signature_class=cls)
 
 
-def _fingerprint(fp) -> VisualFingerprint:
+def _fingerprint(fp) -> int:
     if type(fp) is not dict:
         raise ValueError("a fingerprint is an object")
-    bits, source = fp.get("hash"), fp.get("source", "")
-    if type(bits) is not str or type(source) is not str:
+    bits = fp.get("hash")
+    if type(bits) is not str or type(fp.get("source", "")) is not str:
         raise ValueError("a fingerprint's 'hash' and 'source' must be strings")
-    return VisualFingerprint(int(bits, 16), source)
+    if not _HEX.fullmatch(bits):
+        raise ValueError("a fingerprint's 'hash' must be ASCII hex digits")
+    if len(bits) > 16:
+        raise ValueError("hash must fit in 64 bits")
+    return int(bits, 16)
 
 
 def features_from_json(obj) -> SampleFeatures:
@@ -72,15 +79,14 @@ def features_from_json(obj) -> SampleFeatures:
     label = obj.get("label")
     if type(label) is dict and label.get("top") is not None and type(label["top"]) is not str:
         raise ValueError("a label's 'top' must be a string or null")
+    signature = _signature(obj.get("signature"))
+    _strings(obj, "urls")
+    _strings(obj, "ip_literals")
     return SampleFeatures(
         sample_id=obj["sample_id"],
-        signature=_signature(obj.get("signature")),
-        url_set=UrlSet(
-            urls=_strings(obj, "urls"),
-            ip_literals=_strings(obj, "ip_literals"),
-            domains=_strings(obj, "domains"),
-        ),
-        resolved_ips=_strings(obj, "resolved_ips"),
+        signature=signature,
+        domains=frozenset(_strings(obj, "domains")),
+        resolved_ips=frozenset(_strings(obj, "resolved_ips")),
         fingerprints=tuple(map(_fingerprint, fingerprints)),
         label=label,
     )

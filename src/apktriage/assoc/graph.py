@@ -133,8 +133,7 @@ def _fired_rows(ordered: list[SampleFeatures]) -> list[list[tuple[int, tuple[str
                 links = _link_dn(dn, dn_links, by_subset)
             sig_own = by_fp[fp], by_dn[dn]
             sig_p = [by_fp[fp], *(by_dn[d] for d in links)]
-        domains = s.url_set.domains
-        dom_p = [by_dom[d] for d in domains]
+        dom_p = [by_dom[d] for d in s.domains]
         ip_p = [by_ip[ip] for ip in s.resolved_ips]
         # earlier samples only: j joins its postings after they are read
         sig_hits = set().union(*sig_p)
@@ -142,7 +141,7 @@ def _fired_rows(ordered: list[SampleFeatures]) -> list[list[tuple[int, tuple[str
         ip_hits = set().union(*ip_p)
         snap_hits = set()
         snap_p = []
-        for h in {v.hash_bits for v in s.fingerprints}:
+        for h in set(s.fingerprints):
             for b, (lo, mask) in enumerate(_SNAPSHOT_BLOCKS):
                 posting = by_snap[b, (h >> lo) & mask]
                 for i, g in posting:
@@ -153,7 +152,7 @@ def _fired_rows(ordered: list[SampleFeatures]) -> list[list[tuple[int, tuple[str
             posting.append(j)
         for posting, h in snap_p:
             posting.append((j, h))
-        n = len(domains)
+        n = len(s.domains)
         n_domains.append(n)
         url_hits = {i for i, c in shared_domains.items()
                     if c / min(n_domains[i], n) >= URL_OVERLAP_THRESHOLD}

@@ -48,7 +48,7 @@ def shared_ip(a: SampleFeatures, b: SampleFeatures) -> bool:
 
 
 def assoc_snapshot(a: SampleFeatures, b: SampleFeatures) -> bool:
-    return any((fa.hash_bits ^ fb.hash_bits).bit_count() <= SNAPSHOT_MAX_BITS
+    return any((fa ^ fb).bit_count() <= SNAPSHOT_MAX_BITS
                for fa in a.fingerprints for fb in b.fingerprints)
 
 
@@ -57,7 +57,7 @@ def fired_rules(a: SampleFeatures, b: SampleFeatures) -> tuple[str, ...]:
     rules = []
     if assoc_signature(a, b):
         rules.append(RULE_SIGNATURE)
-    if overlap(a.url_set.domains, b.url_set.domains) >= URL_OVERLAP_THRESHOLD:
+    if overlap(a.domains, b.domains) >= URL_OVERLAP_THRESHOLD:
         rules.append(RULE_URL)
     if shared_ip(a, b):
         rules.append(RULE_SHARED_IP)

@@ -5,16 +5,14 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from apktriage.apkcore import zipread
+from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList
 from apktriage.util import read_data_text
-
-if TYPE_CHECKING:  # assoc loads this module for UrlSet and never parses an APK
-    from apktriage.apkcore.artifact import ApkArtifact
 
 # With IGNORECASE, the URL pattern has no literal prefix for ``re`` to scan
 # for, so ``_url_matches`` tries it only 5 and 4 characters before each "://".

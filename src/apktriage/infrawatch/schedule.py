@@ -31,9 +31,10 @@ def ticks(window: Window, cadence: timedelta):
     if cadence < timedelta(days=1):
         raise ValueError("cadence must be at least one day")
     t = window.start
-    while t <= window.end:
-        yield t
+    yield t
+    while window.end - t >= cadence:  # never steps past the window, nor datetime.max
         t += cadence
+        yield t
 
 
 def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Prober,

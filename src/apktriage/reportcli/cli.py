@@ -256,7 +256,10 @@ def cmd_watch(args) -> int:
                 ScriptedWhois(script.get("whois", {})))
 
     window = Window(start=_parse_ts(args.window_start), end=_parse_ts(args.window_end))
-    cadence = timedelta(days=args.cadence_days)
+    try:
+        cadence = timedelta(days=args.cadence_days)
+    except OverflowError:  # beyond timedelta's 999999999 days
+        raise ValueError(f"--cadence-days {args.cadence_days} is out of range") from None
     with open(args.domains, encoding="utf-8") as f:
         domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
     if args.script:
@@ -334,9 +337,14 @@ def _timestamps(obj) -> dict[str, datetime]:
 
 
 def _parse_ts(value) -> datetime:
+    """An aware timestamp (UTC when no offset is given) that has a UTC form."""
     ts = datetime.fromisoformat(str(value))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
+    try:
+        ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{value}: out of range in UTC") from None
     return ts
 
 

@@ -15,13 +15,11 @@ from apktriage.assoc.features import SampleFeatures, features_from_json
 from apktriage.assoc.graph import AssociationGraph, DuplicateSampleId, build_graph, graph_to_json
 from apktriage.assoc.rules import SNAPSHOT_MAX_BITS, fired_rules, overlap
 from apktriage.assoc.stats import GroupRow, group_stats
-from apktriage.extract.snapshot import VisualFingerprint
-from apktriage.extract.urls import UrlSet
 
 import dhash_oracle
 
 
-def make_sample(sid, dn=None, fingerprint=None, domains=(), urls=(),
+def make_sample(sid, dn=None, fingerprint=None, domains=(),
                 resolved_ips=(), hashes=(), label=None, sig_class=CLASS_DEVELOPER):
     sig = None
     if dn is not None or fingerprint is not None:
@@ -32,9 +30,9 @@ def make_sample(sid, dn=None, fingerprint=None, domains=(), urls=(),
     return SampleFeatures(
         sample_id=sid,
         signature=sig,
-        url_set=UrlSet(frozenset(urls), frozenset(), frozenset(domains)),
+        domains=frozenset(domains),
         resolved_ips=frozenset(resolved_ips),
-        fingerprints=tuple(VisualFingerprint(h) for h in hashes),
+        fingerprints=tuple(hashes),
         label=label)
 
 
@@ -358,8 +356,8 @@ class TestBlocking:
         # d + 1 blocks find the pair; one more bit puts it out of range
         near = sum(1 << (64 * i // d) for i in range(d))
         far = near | 1 << 63
-        assert dhash_oracle.similarity(VisualFingerprint(0), VisualFingerprint(near)) >= t
-        assert dhash_oracle.similarity(VisualFingerprint(0), VisualFingerprint(far)) < t
+        assert dhash_oracle.similarity(0, near) >= t
+        assert dhash_oracle.similarity(0, far) < t
         samples = [make_sample(sid, hashes=[h])
                    for sid, h in (("a", 0), ("b", near), ("c", far))]
         edges = build_graph(samples).edges
@@ -492,5 +490,5 @@ def test_features_from_json_reads_every_field():
         "resolved_ips": ["1.2.3.4"], "fingerprints": [{"hash": "0000000000003039"}],
         "label": {"top": "Sex"}}
     assert features_from_json(obj) == make_sample(
-        "rt", dn=FULL_DN, fingerprint="fp1", domains={"x.com"}, urls={"http://x.com/a"},
+        "rt", dn=FULL_DN, fingerprint="fp1", domains={"x.com"},
         resolved_ips={"1.2.3.4"}, hashes=[12345], label={"top": "Sex"})

@@ -474,6 +474,39 @@ def test_watch_scripted(tmp_path):
     assert summary["domains"] == 1
 
 
+@pytest.mark.parametrize("window,error", [
+    (["--window-start", "2021-01-01", "--window-end", "2021-01-03",
+      "--cadence-days", "1000000000"], "--cadence-days 1000000000 is out of range"),
+    (["--window-start", "0001-01-01T00:00:00+01:00", "--window-end", "2021-01-01"],
+     "0001-01-01T00:00:00+01:00: out of range in UTC"),
+    (["--window-start", "2021-01-01", "--window-end", "9999-12-31T23:00:00-01:00"],
+     "9999-12-31T23:00:00-01:00: out of range in UTC"),
+], ids=["cadence-past-timedelta", "start-before-year-1-in-utc", "end-past-year-9999-in-utc"])
+def test_watch_out_of_range_time_is_an_input_error(tmp_path, capsys, window, error):
+    domains = tmp_path / "domains.txt"
+    domains.write_text("a.example\n")
+    assert main(["watch", str(domains), "--store", str(tmp_path / "store"),
+                 "--output", str(tmp_path / "w"), *window,
+                 "--script", _watch_script(tmp_path / "s.json", slice(None))]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_watch_window_at_the_end_of_time(tmp_path):
+    # the next tick after 9999-12-31 would pass datetime.max: 2 ticks, not a crash
+    domains = tmp_path / "domains.txt"
+    domains.write_text("a.example\n")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"resolutions": {"a.example": [["1.1.1.1"]]},
+                                  "probes": {"a.example": [200]}}))
+    assert main(["watch", str(domains), "--store", str(tmp_path / "store"),
+                 "--output", str(tmp_path / "w"), "--window-start", "9999-12-30",
+                 "--window-end", "9999-12-31T12:00:00", "--script", str(script)]) == 0
+    lines = (tmp_path / "store" / "a.example.jsonl").read_text().splitlines()
+    assert [json.loads(l)["ts"] for l in lines] == \
+        ["9999-12-30T00:00:00Z"] * 2 + ["9999-12-31T00:00:00Z"] * 2
+
+
 @pytest.mark.parametrize("listed,script", [
     ("", {}),
     ("a.example\n", {"resolutions": {"a.example": ["gap"]}}),
@@ -997,9 +1030,8 @@ VERB_MODULES = {
              "data", "extract", "extract.paradigm", "extract.psl", "extract.urls",
              "genscan", "genscan.ciphers", "genscan.content", "genscan.fingerprints",
              "util"],
-    "assoc": ["apkcore", "apkcore.certs", "apkcore.errors", "apkcore.zipread",
+    "assoc": ["apkcore", "apkcore.certs", "apkcore.errors",
               "assoc", "assoc.features", "assoc.graph", "assoc.rules", "assoc.stats",
-              "extract", "extract.psl", "extract.snapshot", "extract.urls",
               "reportcli.emit", "reportcli.taxonomy", "util"],
     "watch": ["infrawatch", "infrawatch.backends", "infrawatch.bindings",
               "infrawatch.lifespan", "infrawatch.schedule", "infrawatch.timeline",

@@ -1,12 +1,11 @@
-"""URL extraction, suffix-list reduction, whitelist filtering, paradigm
-classification and snapshot-fingerprint tests."""
+"""URL extraction, suffix-list reduction, whitelist filtering and paradigm
+classification tests."""
 
 import ipaddress
 import random
 import tracemalloc
 import types
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from apktriage.apkcore.errors import ApkError
 from apktriage.extract import urls
 from apktriage.extract.paradigm import classify_paradigm
 from apktriage.extract.psl import load_suffix_list
-from apktriage.extract.snapshot import ImageUndecodable, snapshot_fingerprint
 from apktriage.extract.urls import (
     extract_urls,
     filter_whitelist,
@@ -28,7 +26,6 @@ from apktriage.extract.urls import (
 )
 from apktriage.genscan.fingerprints import detect_generator, load_fingerprints
 
-import dhash_oracle
 import url_oracle
 from apk_builder import build_apk
 
@@ -480,78 +477,3 @@ class TestParadigm:
             "lib/armeabi/libxwalkcore.so": b"\x7fELF"}), KNOWN)
         assert classify_paradigm(apk, None).value == "Hybrid"
 
-
-class TestSnapshot:
-    def test_identical_images_similarity_one(self):
-        rng = np.random.default_rng(7)
-        img = rng.integers(0, 256, size=(64, 48)).astype(float)
-        a = snapshot_fingerprint(img)
-        b = snapshot_fingerprint(img.copy())
-        assert dhash_oracle.similarity(a, b) == 1.0
-
-    def test_small_brightness_shift_high_similarity(self):
-        rng = np.random.default_rng(8)
-        img = rng.integers(16, 240, size=(120, 90)).astype(float)
-        a = snapshot_fingerprint(img)
-        b = snapshot_fingerprint(np.clip(img + 4, 0, 255))
-        assert dhash_oracle.similarity(a, b) >= 0.9
-
-    def test_unrelated_images_low_similarity(self):
-        rng = np.random.default_rng(9)
-        a = snapshot_fingerprint(rng.integers(0, 256, size=(64, 64)).astype(float))
-        b = snapshot_fingerprint(rng.integers(0, 256, size=(64, 64)).astype(float))
-        assert dhash_oracle.similarity(a, b) < 0.9
-
-    def test_symmetry_and_bounds(self):
-        rng = np.random.default_rng(10)
-        a = snapshot_fingerprint(rng.integers(0, 256, size=(32, 32)).astype(float))
-        b = snapshot_fingerprint(rng.integers(0, 256, size=(32, 32)).astype(float))
-        assert dhash_oracle.similarity(a, b) == dhash_oracle.similarity(b, a)
-        assert 0.0 <= dhash_oracle.similarity(a, b) <= 1.0
-
-    def test_too_small_image(self):
-        with pytest.raises(ImageUndecodable):
-            snapshot_fingerprint(np.zeros((8, 100)))
-
-    def test_not_2d(self):
-        with pytest.raises(ImageUndecodable):
-            snapshot_fingerprint(np.zeros((10, 10, 3)))
-
-    def test_scale_invariance(self):
-        # 2x nearest-neighbour upscale preserves the dHash
-        rng = np.random.default_rng(11)
-        img = rng.integers(0, 256, size=(40, 36)).astype(float)
-        big = img.repeat(2, axis=0).repeat(2, axis=1)
-        assert dhash_oracle.similarity(snapshot_fingerprint(img),
-                                       snapshot_fingerprint(big)) >= 0.95
-
-    @pytest.mark.parametrize("pixels", [
-        [[0] * 10] * 9 + [[0] * 11],          # ragged
-        [[0] * 10] * 9 + [b"\x00" * 9],       # ragged, one row of bytes
-        [[0] * 9] * 8,                        # 8 rows
-        [[0] * 8] * 9,                        # 8 columns
-        [],
-        list(range(100)),                     # 1-D
-        [[[0]] * 10] * 10,                    # 3-D lists
-        [["0"] * 10] * 10,                    # not numbers
-        [[1j] * 10] * 10,
-    ], ids=["ragged", "ragged-bytes", "8-rows", "8-cols", "empty", "1-d",
-            "3-d-lists", "strings", "complex"])
-    def test_rejects_non_grid(self, pixels):
-        with pytest.raises(ImageUndecodable):
-            snapshot_fingerprint(pixels)
-
-    @settings(max_examples=300, deadline=None)
-    @given(h=st.integers(9, 64), w=st.integers(9, 64),
-           levels=st.sampled_from([None, (0, 255), (7, 8), (0, 1, 2)]),
-           data=st.data())
-    def test_matches_numpy_oracle(self, h, w, levels, data):
-        # 2- and 3-level grids make adjacent block means tie often
-        raw = data.draw(st.binary(min_size=h * w, max_size=h * w))
-        vals = list(raw) if levels is None else [levels[b % len(levels)] for b in raw]
-        rows = [vals[i * w:(i + 1) * w] for i in range(h)]
-        expected = dhash_oracle.dhash(rows)
-        assert snapshot_fingerprint(rows).hash_bits == expected
-        assert snapshot_fingerprint(np.array(rows, dtype=float)).hash_bits == expected
-        if levels is None:
-            assert snapshot_fingerprint([bytes(r) for r in rows]).hash_bits == expected

@@ -1,4 +1,4 @@
-"""Monitoring, lifespan, binding, geolocation and registrant tests."""
+"""Monitoring, lifespan, binding and registrant tests."""
 
 import json
 import socket
@@ -30,7 +30,6 @@ from apktriage.infrawatch.bindings import (
     binding_segments,
     classify_bindings,
 )
-from apktriage.infrawatch.geo import GeoDb, cctld_country, distribution, geolocate
 from apktriage.infrawatch.lifespan import (
     END_DEAD_BEFORE_FIRST,
     END_OBSERVED_DEATH,
@@ -751,40 +750,6 @@ class TestBindings:
                                       (7, ["2.2.2.2"], 200)])
         _, summary = classify_bindings([t])
         assert summary["mean_binding_days"] == 3.0
-
-
-class TestGeo:
-    DB = GeoDb([(int(1) << 24, (int(1) << 24) + 255, "Australia"),
-                (3232235520, 3232301055, "Private")])
-
-    def test_lookup(self):
-        assert self.DB.country("1.0.0.7") == "Australia"
-        assert self.DB.country("192.168.1.1") == "Private"
-        assert self.DB.country("9.9.9.9") is None
-        assert self.DB.country("not-an-ip") is None
-
-    def test_from_csv(self, tmp_path):
-        p = tmp_path / "geo.csv"
-        p.write_text("# comment\n16777216,16777471,Australia\n"
-                     "1.1.1.0,1.1.1.255,Cloud\n")
-        db = GeoDb.from_csv(p)
-        assert db.country("1.0.0.1") == "Australia"
-        assert db.country("1.1.1.1") == "Cloud"
-
-    def test_cctld(self):
-        assert cctld_country("casino.example.cn") == "China"
-        assert cctld_country("foo.com") is None
-
-    def test_geolocate_and_distribution(self):
-        a = simple_timeline("a.cn", [(0, ["1.0.0.1"], 200)])
-        b = simple_timeline("b.com", [(0, ["1.0.0.2"], 200)])
-        b.whois = WhoisRecord("r", "United States", "")
-        domain_counts, ip_counts = geolocate([a, b], self.DB)
-        assert domain_counts == {"China": 1, "United States": 1}
-        assert ip_counts == {"Australia": 2}
-        rows = distribution(domain_counts)
-        assert sum(r[1] for r in rows) == 2
-        assert abs(sum(r[2] for r in rows) - 100.0) < 0.1
 
 
 class TestRegistrants:

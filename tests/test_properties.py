@@ -15,7 +15,6 @@ from apktriage.apkcore.certs import SignerIdentity
 from apktriage.assoc.graph import build_graph
 from apktriage.assoc.rules import fired_rules
 from apktriage.extract.psl import load_suffix_list
-from apktriage.extract.snapshot import VisualFingerprint
 from apktriage.extract.urls import UrlSet, filter_whitelist
 from apktriage.genscan import ciphers
 from apktriage.payclass.sessions import KIND_FOURTH_PARTY, PaymentClassification, channel_breakdown
@@ -82,7 +81,7 @@ def test_whitelist_idempotent(urls, wl):
 def test_snapshot_threshold_monotonicity(a, b, t1, t2):
     # raising the threshold can only turn matches off, never on
     lo, hi = sorted((t1, t2))
-    sim = dhash_oracle.similarity(VisualFingerprint(a), VisualFingerprint(b))
+    sim = dhash_oracle.similarity(a, b)
     assert 0.0 <= sim <= 1.0
     if sim >= hi:
         assert sim >= lo

@@ -217,6 +217,32 @@ def test_gc_paused_restores_the_previous_state(enabled):
         gc.enable()
 
 
+def _hash_line(h):
+    return json.dumps({"sample_id": "b", "fingerprints": [{"hash": h}]}) + "\n"
+
+
+@pytest.mark.parametrize("h,value", [("0", 0), ("f" * 16, 2 ** 64 - 1), ("00aBcD", 0xABCD)])
+def test_fingerprint_hash_is_one_to_sixteen_hex_digits(tmp_path, h, value):
+    path = tmp_path / "f.jsonl"
+    path.write_text(_hash_line(h))
+    assert read_features_jsonl(path)[0].fingerprints == (value,)
+
+
+# a hash is 1 to 16 ASCII hex digits; int(h, 16) also takes the first five
+@pytest.mark.parametrize("h,error", [
+    (" 1 ", "must be ASCII hex digits"), ("1_0", "must be ASCII hex digits"),
+    ("0x_1", "must be ASCII hex digits"), ("0X1", "must be ASCII hex digits"),
+    ("\uff11", "must be ASCII hex digits"), ("", "must be ASCII hex digits"),
+    ("1" + "0" * 16, "hash must fit in 64 bits"), ("0" * 17, "hash must fit in 64 bits"),
+], ids=["padded", "underscore", "0x-underscore", "0X", "full-width-one", "empty",
+        "65-bit", "17-digits"])
+def test_fingerprint_hash_of_another_form_is_an_input_error(tmp_path, h, error):
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps({"sample_id": "a"}) + "\n" + _hash_line(h))
+    with pytest.raises(ValueError, match=f"^{path}, line 2: .*{error}"):
+        read_features_jsonl(path)
+
+
 def _features_file(path, n):
     """n features records in developer groups of five: shared DN fields,
     domains, IPs and near-equal dHashes, so every rule fires within a
