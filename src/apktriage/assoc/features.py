@@ -20,7 +20,7 @@ class SampleFeatures:
     domains: frozenset[str]
     resolved_ips: frozenset[str] = frozenset()
     fingerprints: tuple[int, ...] = ()  # 64-bit snapshot hashes
-    label: dict | None = None
+    label: dict | str | None = None
 
     @property
     def developer_signature(self) -> SignerIdentity | None:
@@ -77,8 +77,11 @@ def features_from_json(obj) -> SampleFeatures:
     if type(fingerprints) is not list:
         raise ValueError("'fingerprints' must be a list")
     label = obj.get("label")
-    if type(label) is dict and label.get("top") is not None and type(label["top"]) is not str:
-        raise ValueError("a label's 'top' must be a string or null")
+    if type(label) is dict:
+        if label.get("top") is not None and type(label["top"]) is not str:
+            raise ValueError("a label's 'top' must be a string or null")
+    elif label is not None and type(label) is not str:
+        raise ValueError("'label' must be a string, an object or null")
     signature = _signature(obj.get("signature"))
     _strings(obj, "urls")
     _strings(obj, "ip_literals")

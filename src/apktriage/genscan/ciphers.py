@@ -5,17 +5,27 @@ Block modes use PKCS#7 padding. ``decrypt`` runs them with a zero IV,
 which matches how generator runtimes invoke them; the CBC functions
 themselves also take an IV, as the published test vectors need.
 
-AES and DES run on the `cryptography` library. RC4 and TEA are plain
-Python: `cryptography`'s ARC4 accepts only some key lengths, and it has
-no TEA. Key, IV and length checks happen here, before any library call,
-so a caller only ever sees `KeyUnavailable` or `CipherError`.
+AES, DES and RC4 run on the `cryptography` library. RC4 uses its ARC4,
+which takes only the key lengths in ``ARC4.key_sizes`` and needs
+OpenSSL's legacy provider; any other key, or an OpenSSL without that
+provider, runs on a Python loop with the same output. `cryptography` has
+no TEA, so TEA runs on Python ints: each 8-byte block is one 64-bit lane
+of one int, and each step of the cipher is a few int operations over
+every block of a 64 KiB chunk at once.
+
+A padded decryption decrypts the last block alone first and checks its
+padding, so a wrong key is almost always rejected for the cost of one
+block. Key, IV and length checks happen here, before any library call
+and before that padding check, so a caller only ever sees
+`KeyUnavailable` or `CipherError`.
 """
 
 from __future__ import annotations
 
 import struct
 
-from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+from cryptography.exceptions import UnsupportedAlgorithm
+from cryptography.hazmat.decrepit.ciphers.algorithms import ARC4, TripleDES
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 
@@ -33,6 +43,11 @@ class KeyUnavailable(CipherError):
 def rc4(data: bytes, key: bytes) -> bytes:
     if not key:
         raise KeyUnavailable("RC4 key is empty")
+    if len(key) * 8 in ARC4.key_sizes:
+        try:
+            return Cipher(ARC4(key), None).encryptor().update(data)
+        except UnsupportedAlgorithm:  # OpenSSL without its legacy provider
+            pass
     s = list(range(256))
     klen = len(key)
     j = 0
@@ -58,46 +73,69 @@ def rc4(data: bytes, key: bytes) -> bytes:
 _TEA_DELTA = 0x9E3779B9
 _M32 = 0xFFFFFFFF
 _TEA_SUMS = [(_TEA_DELTA * n) & _M32 for n in range(1, 33)]
+_TEA_CHUNK = 64 * 1024  # bytes per lane int: bounds the temporaries
 
 
-def _tea_run(data: bytes, key: bytes, encrypt: bool) -> bytes:
+def _tea_check(data: bytes, key: bytes) -> None:
     if len(key) != 16:
         raise KeyUnavailable("TEA requires a 128-bit key")
     if len(data) % 8:
         raise CipherError("TEA input must be a multiple of 8 bytes")
-    k0, k1, k2, k3 = struct.unpack(">4I", key)
-    fmt = f">{len(data) // 4}I"
-    v = list(struct.unpack(fmt, data))
-    # Sums and shifts are masked once per half-round: the low 32 bits of
-    # an add or xor depend only on the low 32 bits of its operands.
-    for b in range(0, len(v), 2):
-        v0, v1 = v[b], v[b + 1]
+
+
+def _tea_run(data: bytes, key: bytes, encrypt: bool) -> bytes:
+    """TEA over every 8-byte block of ``data``, whose lengths are checked.
+
+    Each block is one 64-bit lane of an int: ``v0`` and ``v1`` hold its
+    two words in the low 32 bits of each lane, and ``lane`` has a 1 in
+    each lane, so ``c * lane`` is ``c`` in every lane. The right shift,
+    which moves the next lane's low bits into the top of this one, is
+    masked; a decryption adds 2**40 per lane before it subtracts, so no
+    lane borrows from its neighbour; and no value of a step reaches 2**41
+    in its lane, so none carries into the next. Masking to 32 bits per
+    lane then gives each block's words.
+    """
+    view = memoryview(data)
+    out = []
+    for start in range(0, len(data), _TEA_CHUNK):
+        chunk = view[start:start + _TEA_CHUNK]
+        lane = int.from_bytes(b"\0\0\0\0\0\0\0\1" * (len(chunk) // 8), "big")
+        mask = _M32 * lane
+        k0, k1, k2, k3 = (k * lane for k in struct.unpack(">4I", key))
+        x = int.from_bytes(chunk, "big")
+        v0, v1 = x >> 32 & mask, x & mask
         if encrypt:
             for s in _TEA_SUMS:
-                v0 = (v0 + (((v1 << 4) + k0) ^ (v1 + s) ^ ((v1 >> 5) + k1))) & _M32
-                v1 = (v1 + (((v0 << 4) + k2) ^ (v0 + s) ^ ((v0 >> 5) + k3))) & _M32
+                s *= lane
+                v0 = (v0 + (((v1 << 4) + k0) ^ (v1 + s) ^ ((v1 >> 5 & mask) + k1))) & mask
+                v1 = (v1 + (((v0 << 4) + k2) ^ (v0 + s) ^ ((v0 >> 5 & mask) + k3))) & mask
         else:
+            bias = lane << 40
             for s in reversed(_TEA_SUMS):
-                v1 = (v1 - (((v0 << 4) + k2) ^ (v0 + s) ^ ((v0 >> 5) + k3))) & _M32
-                v0 = (v0 - (((v1 << 4) + k0) ^ (v1 + s) ^ ((v1 >> 5) + k1))) & _M32
-        v[b], v[b + 1] = v0, v1
-    return struct.pack(fmt, *v)
+                s *= lane
+                v1 = (v1 + bias - (((v0 << 4) + k2) ^ (v0 + s) ^ ((v0 >> 5 & mask) + k3))) & mask
+                v0 = (v0 + bias - (((v1 << 4) + k0) ^ (v1 + s) ^ ((v1 >> 5 & mask) + k1))) & mask
+        out.append((v0 << 32 | v1).to_bytes(len(chunk), "big"))
+    return b"".join(out)
 
 
 def tea_encrypt(data: bytes, key: bytes) -> bytes:
-    return _tea_run(_pkcs7_pad(data, 8), key, True)
+    return tea_encrypt_raw(_pkcs7_pad(data, 8), key)
 
 
 def tea_decrypt(data: bytes, key: bytes) -> bytes:
-    return _pkcs7_unpad(_tea_run(data, key, False), 8)
+    _tea_check(data, key)
+    return _unpad_decrypt(lambda blocks, _prev: _tea_run(blocks, key, False), data, 8)
 
 
 def tea_encrypt_raw(data: bytes, key: bytes) -> bytes:
     """Unpadded block encryption; input length must be a multiple of 8."""
+    _tea_check(data, key)
     return _tea_run(data, key, True)
 
 
 def tea_decrypt_raw(data: bytes, key: bytes) -> bytes:
+    _tea_check(data, key)
     return _tea_run(data, key, False)
 
 
@@ -111,25 +149,31 @@ def _cbc_run(algorithm, data: bytes, iv: bytes, encrypt: bool) -> bytes:
     return ctx.update(data) + ctx.finalize()
 
 
-def _aes_cbc_run(data: bytes, key: bytes, iv: bytes, encrypt: bool) -> bytes:
+def _cbc_decrypt(algorithm, data: bytes, iv: bytes) -> bytes:
+    return _unpad_decrypt(lambda blocks, prev: _cbc_run(algorithm, blocks, prev or iv, False),
+                          data, len(iv))
+
+
+def _aes(data: bytes, key: bytes, iv: bytes):
     if len(key) not in (16, 24, 32):
         raise KeyUnavailable("AES key must be 16, 24 or 32 bytes")
     if len(iv) != 16:
         raise CipherError("AES-CBC IV must be 16 bytes")
     if len(data) % 16:
         raise CipherError("AES-CBC input must be a multiple of 16 bytes")
-    return _cbc_run(algorithms.AES(key), data, iv, encrypt)
+    return algorithms.AES(key)
 
 
 def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes = b"\x00" * 16) -> bytes:
-    return _aes_cbc_run(_pkcs7_pad(data, 16), key, iv, True)
+    data = _pkcs7_pad(data, 16)
+    return _cbc_run(_aes(data, key, iv), data, iv, True)
 
 
 def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes = b"\x00" * 16) -> bytes:
-    return _pkcs7_unpad(_aes_cbc_run(data, key, iv, False), 16)
+    return _cbc_decrypt(_aes(data, key, iv), data, iv)
 
 
-def _des_cbc_run(data: bytes, key: bytes, iv: bytes, encrypt: bool) -> bytes:
+def _des(data: bytes, key: bytes, iv: bytes):
     if len(iv) != 8:
         raise CipherError("DES-CBC IV must be 8 bytes")
     if len(data) % 8:
@@ -138,15 +182,16 @@ def _des_cbc_run(data: bytes, key: bytes, iv: bytes, encrypt: bool) -> bytes:
         raise KeyUnavailable("DES key must be 8 bytes")
     # Triple DES with K1 = K2 = K3 is single DES. The 24-byte form avoids
     # the deprecation that cryptography 47 attached to 8-byte keys.
-    return _cbc_run(TripleDES(bytes(key) * 3), data, iv, encrypt)
+    return TripleDES(bytes(key) * 3)
 
 
 def des_cbc_encrypt(data: bytes, key: bytes, iv: bytes = b"\x00" * 8) -> bytes:
-    return _des_cbc_run(_pkcs7_pad(data, 8), key, iv, True)
+    data = _pkcs7_pad(data, 8)
+    return _cbc_run(_des(data, key, iv), data, iv, True)
 
 
 def des_cbc_decrypt(data: bytes, key: bytes, iv: bytes = b"\x00" * 8) -> bytes:
-    return _pkcs7_unpad(_des_cbc_run(data, key, iv, False), 8)
+    return _cbc_decrypt(_des(data, key, iv), data, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +209,20 @@ def _pkcs7_unpad(data: bytes, block: int) -> bytes:
     if not 1 <= n <= block or data[-n:] != bytes([n]) * n:
         raise CipherError("bad PKCS#7 padding")
     return data[:-n]
+
+
+def _unpad_decrypt(run, data: bytes, block: int) -> bytes:
+    """The PKCS#7-unpadded plaintext of ``data``, whose key, IV and length
+    checks have passed. ``run(blocks, prev)`` decrypts whole blocks;
+    ``prev`` is the ciphertext block before them, ``b""`` at the start.
+
+    The last block is decrypted alone first and its padding checked, so
+    a wrong key is rejected before the rest is decrypted."""
+    if not data:
+        raise CipherError("bad padded length")
+    head = len(data) - block
+    tail = _pkcs7_unpad(run(data[head:], data[head - block:head]), block)
+    return run(memoryview(data)[:head], b"") + tail
 
 
 _DECRYPTORS = {

@@ -5,6 +5,7 @@ every well-formed file the records must agree field for field."""
 
 import gc
 import json
+import re
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -241,6 +242,24 @@ def test_fingerprint_hash_of_another_form_is_an_input_error(tmp_path, h, error):
     path.write_text(json.dumps({"sample_id": "a"}) + "\n" + _hash_line(h))
     with pytest.raises(ValueError, match=f"^{path}, line 2: .*{error}"):
         read_features_jsonl(path)
+
+
+@pytest.mark.parametrize("label", [5, ["x"], True], ids=["number", "list", "true"])
+def test_label_of_another_type_is_an_input_error(tmp_path, label):
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps({"sample_id": "a", "label": "Sex"}) + "\n"
+                    + json.dumps({"sample_id": "b", "label": label}) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 2: "
+                                         "'label' must be a string, an object or null$"):
+        read_features_jsonl(path)
+
+
+def test_label_is_a_top_name_an_object_or_null(tmp_path):
+    labels = ["Sex", {"top": "Gambling", "sub": "x"}, {"top": None}, {}, None, "Nope"]
+    path = tmp_path / "f.jsonl"
+    path.write_text("".join(json.dumps({"sample_id": f"s{i}", "label": label}) + "\n"
+                            for i, label in enumerate(labels)))
+    assert [f.label for f in read_features_jsonl(path)] == labels
 
 
 def _features_file(path, n):
