@@ -57,7 +57,7 @@ class _Scripted:
             return None
         i = self._tick.get(domain, 0)
         self._tick[domain] = i + 1
-        value = seq[min(i, len(seq) - 1)]
+        value = seq[i] if i < len(seq) else seq[-1]
         if value == "gap":
             raise BackendUnavailable(f"{self.backend} outage for {domain}")
         return value
@@ -80,11 +80,11 @@ class ScriptedResolver(_Scripted):
 class ScriptedProber(_Scripted):
     """Scripted HTTP statuses, one per probe; None means no answer."""
 
-    backend, answer_kind = "prober", "an integer status"
+    backend, answer_kind = "prober", "an integer status from 100 to 599"
 
     @staticmethod
     def _answer(value) -> bool:
-        return type(value) is int  # not bool
+        return type(value) is int and 100 <= value <= 599  # not bool
 
     def probe(self, domain, ts):
         return self._next(domain)

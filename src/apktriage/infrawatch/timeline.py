@@ -10,7 +10,9 @@ write torn by a crash), and the first write to a file in a run cuts
 such a tail off before writing. A line that does end in a newline must
 hold one of the four record shapes (resolution, probe, gap, whois) with
 values of the types the store writes; any other raises ValueError naming
-the file and the line number.
+the file and the line number. ``load`` takes a resolution or probe line
+in the exact shape the store writes without decoding it as JSON; every
+other line, and every error, goes through the checked path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
 from apktriage.util import json_lines
 
@@ -30,8 +33,7 @@ class EmptyTimeline(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     ts: datetime
     ips: frozenset[str] | None  # None = NXDOMAIN
 
@@ -40,8 +42,7 @@ class Resolution:
         return self.ips is None
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     ts: datetime
     alive: bool
     detail: str  # status class when alive, reason when dead
@@ -112,10 +113,56 @@ def _parse_ts(s: str) -> datetime:
     return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
 
 
+# A resolution or probe line exactly as ``_line`` writes it is a head,
+# which repeats from line to line, and a tail of fixed length that holds
+# the time. A string in the head must be one that ``_quote`` writes
+# unchanged: printable ASCII but ``"`` and ``\``.
+_TAIL = len(',"ts":"YYYY-MM-DDTHH:MM:SSZ"}')
+_PLAIN = r'[ !#-\[\]-~]*'
+_FAST_HEAD = re.compile(
+    r'\{"kind":"(?:resolution","payload":(null|\[\]|\["(%s(?:","%s)*)"\])'
+    r'|probe","payload":\{"alive":(true|false),"detail":"(%s)"\})' % ((_PLAIN,) * 3))
+
+
+def _fast_head(head: str) -> tuple:
+    """("resolution", ips) or ("probe", (alive, detail)) of a head of
+    ``_FAST_HEAD``; (None, None) for any other."""
+    m = _FAST_HEAD.fullmatch(head)
+    if m is None:
+        return None, None
+    payload, ips, alive, detail = m.groups()
+    if alive is not None:
+        return "probe", (alive == "true", detail)
+    if payload == "null":
+        return "resolution", None
+    return "resolution", frozenset(() if ips is None else ips.split('","'))
+
+
+@lru_cache(maxsize=4096)
+def _tail_ts(tail: str) -> datetime:
+    """The time of a line's last ``_TAIL`` characters as ``_line`` writes
+    them; any other raises ValueError."""
+    if tail[:7] != ',"ts":"' or tail[-2:] != '"}':
+        raise ValueError(f"bad store line tail {tail!r}")
+    return _parse_ts(tail[7:-2])
+
+
 _RECORD_KEYS = {"kind", "payload", "ts"}
 _PROBE_KEYS = {"alive", "detail"}
 _WHOIS_KEYS = {"country", "created", "registrant"}
 _KINDS = ("resolution", "probe", "gap", "whois")
+
+
+# The payload text of a resolution's addresses and of a probe, memoized:
+# both repeat from tick to tick.
+@lru_cache(maxsize=4096)
+def _addresses(ips: tuple) -> str:
+    return "[" + ",".join(map(_quote, ips)) + "]"
+
+
+@lru_cache(maxsize=4096)
+def _probe(alive: bool, detail: str) -> str:
+    return '{"alive":%s,"detail":%s}' % ("true" if alive else "false", _quote(detail))
 
 
 def _line(record: dict) -> str:
@@ -124,10 +171,9 @@ def _line(record: dict) -> str:
     its kind."""
     kind, p = record["kind"], record["payload"]
     if kind == "resolution":
-        payload = "null" if p is None else "[" + ",".join(map(_quote, p)) + "]"
+        payload = "null" if p is None else _addresses(tuple(p))
     elif kind == "probe":
-        payload = '{"alive":%s,"detail":%s}' % ("true" if p["alive"] else "false",
-                                                 _quote(p["detail"]))
+        payload = _probe(p["alive"], p["detail"])
     elif kind == "gap":
         payload = _quote(p)
     elif kind == "whois":
@@ -238,9 +284,33 @@ class TimelineStore:
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
 
+        def fast(lines):
+            """``lines``, with each resolution and probe line of a fast head
+            added here and handed on blank; ``add`` words any error."""
+            heads = {}  # each distinct head of the file, decoded once
+            for line in lines:
+                head = line[:-_TAIL]
+                decoded = heads.get(head)
+                if decoded is None:
+                    decoded = heads[head] = _fast_head(head)
+                kind, payload = decoded
+                if kind is not None:
+                    try:
+                        ts = _tail_ts(line[-_TAIL:])
+                        if kind == "probe":
+                            t.add_probe(Probe(ts, *payload))
+                        else:
+                            t.add_resolution(Resolution(ts, payload))
+                    except ValueError:  # decided again, and worded, by add
+                        pass
+                    else:
+                        line = ""
+                yield line
+
         with open(path, encoding="utf-8", newline="") as f:
             lines = f.read().split("\n")
-        json_lines(path, lines[:-1], add)  # the last piece is "" or unterminated
+        del lines[-1]  # "" or unterminated
+        json_lines(path, fast(lines), add)
         return t
 
     def domains(self) -> list[str]:

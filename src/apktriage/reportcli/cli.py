@@ -143,13 +143,17 @@ def _in_tasks(task, items, size):
         yield from task(items)
         return
 
+    import gc
     import multiprocessing
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, so that the workers inherit the running verb's state; the
-    # executor forks every worker before it starts a thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # executor forks every worker before it starts a thread. Each worker
+    # freezes what it inherited, so its collections never traverse (and
+    # copy on write) the parent's objects.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=gc.freeze)
     try:
         chunks = iter(lambda: list(itertools.islice(items, size)), [])
         window = deque(pool.submit(_run_task, task, chunk)

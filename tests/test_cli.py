@@ -1,6 +1,7 @@
 """End-to-end command-line tests over fixture inputs."""
 
 import argparse
+import gc
 import json
 import multiprocessing
 import os
@@ -709,6 +710,28 @@ def test_watch_pooled_matches_serial(tmp_path, capsys, monkeypatch):
     assert [r["domain"] for r in lifespans] == list(POOL_PLAN) + ["z.example"]
 
 
+def _freeze_counts(items):
+    return [gc.get_freeze_count() for _item in items]
+
+
+def test_pool_workers_freeze_and_the_parent_collector_is_unchanged(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})  # two workers
+    parent = gc.isenabled(), gc.get_freeze_count()
+    counts = list(cli._in_tasks(_freeze_counts, range(4), 1))
+    assert len(counts) == 4 and all(n > 0 for n in counts), counts
+    assert (gc.isenabled(), gc.get_freeze_count()) == parent
+
+    (tmp_path / "apks").mkdir()
+    _mixed_corpus(tmp_path / "apks")
+    assert main(["scan", str(tmp_path / "apks"), "--output", str(tmp_path / "s.jsonl")]) == 1
+    assert (gc.isenabled(), gc.get_freeze_count()) == parent
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    rc = _watch_with_cpus(tmp_path, capsys, monkeypatch, 2, tmp_path / "store", slice(None))[0]
+    assert rc == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == parent
+
+
 @pytest.mark.parametrize("fault, code", [("store-line", 1), (RuntimeError, 2), (ValueError, 1)])
 def test_watch_error_in_a_later_task_exits_as_serial(tmp_path, capsys, monkeypatch,
                                                       fault, code):
@@ -802,12 +825,17 @@ def test_watch_resumes_after_a_kill(tmp_path, monkeypatch, cpus, code):
     ("--script", '{"probes": {"a.example": ["x"]}}'),
     ("--script", '{"probes": {"a.example": [true]}}'),
     ("--script", '{"probes": {"a.example": [200.5]}}'),
+    ("--script", '{"probes": {"a.example": [-1]}}'),
+    ("--script", '{"probes": {"a.example": [0]}}'),
+    ("--script", '{"probes": {"a.example": [99]}}'),
+    ("--script", '{"probes": {"a.example": [600]}}'),
     ("--script", '{"whois": {"a.example": {"registrant": 5}}}'),
 ], ids=["mtimes-list", "mtimes-int", "mtimes-not-json", "script-list",
         "script-resolutions-list", "script-probes-null", "script-whois-list",
         "script-whois-record-list", "script-deep", "script-resolutions-int",
         "script-resolution-of-ints", "script-resolution-string", "script-probe-string",
-        "script-probe-bool", "script-probe-float", "script-whois-field-int"])
+        "script-probe-bool", "script-probe-float", "script-probe-negative",
+        "script-probe-zero", "script-probe-99", "script-probe-600", "script-whois-field-int"])
 def test_watch_wrong_shaped_side_input_is_an_input_error(tmp_path, capsys, flag, body):
     domains = tmp_path / "domains.txt"
     domains.write_text("a.example\n")

@@ -1,6 +1,7 @@
 """Monitoring, lifespan, binding and registrant tests."""
 
 import json
+import re
 import socket
 import sys
 import tempfile
@@ -357,6 +358,160 @@ class TestStoreLines:
             assert store.load("x.com") == want
 
 
+def _store_oracle(text):
+    """(the timeline of ``text``, None), or (None, the number of its first
+    bad line), by the store rules of the README: each newline-terminated,
+    stripped, non-blank line is decoded by ``json.loads`` and must be an
+    object of exactly kind, payload and ts, with a ``YYYY-MM-DDTHH:MM:SSZ``
+    date and a payload of its kind's types; resolution and probe times
+    strictly increase, and an alive probe needs a non-NXDOMAIN resolution
+    at or before it."""
+    res, probes, gaps, whois = [], [], [], None
+    for n, line in enumerate(text.split("\n")[:-1], 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            ts = rec.get("ts") if type(rec) is dict else None
+            if (type(rec) is not dict or set(rec) != {"kind", "payload", "ts"}
+                    or type(ts) is not str
+                    or not re.fullmatch(r"[0-9]{4}(-[0-9]{2}){2}T[0-9]{2}(:[0-9]{2}){2}Z", ts)):
+                return None, n
+            ts = datetime.strptime(ts, STORE_FMT).replace(tzinfo=timezone.utc)
+        except ValueError:
+            return None, n
+        kind, p = rec["kind"], rec["payload"]
+        if kind == "resolution" and (p is None or type(p) is list
+                                     and all(type(ip) is str for ip in p)):
+            if res and ts <= res[-1].ts:
+                return None, n
+            res.append(Resolution(ts, None if p is None else frozenset(p)))
+        elif (kind == "probe" and type(p) is dict and set(p) == {"alive", "detail"}
+              and type(p["alive"]) is bool and type(p["detail"]) is str):
+            if probes and ts <= probes[-1].ts or p["alive"] and not any(
+                    r.ips is not None and r.ts <= ts for r in res):
+                return None, n
+            probes.append(Probe(ts, p["alive"], p["detail"]))
+        elif kind == "gap" and type(p) is str:
+            gaps.append((ts, p))
+        elif (kind == "whois" and type(p) is dict
+              and set(p) == {"registrant", "country", "created"}
+              and all(type(v) is str for v in p.values())):
+            whois = WhoisRecord(p["registrant"], p["country"], p["created"])
+        else:
+            return None, n
+    return DomainTimeline("x.com", res, probes, whois, gaps), None
+
+
+# mostly characters a store line holds as they are, then ones it escapes
+# or that only the checked path takes
+ORACLE_TEXT = st.text(st.sampled_from(
+    list("a1.-: ") * 3 + ['"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001f600"]), max_size=4)
+ORACLE_PAYLOADS = {
+    "resolution": st.none() | st.lists(ORACLE_TEXT, max_size=3),
+    "probe": st.fixed_dictionaries({"alive": st.booleans(), "detail": ORACLE_TEXT}),
+    "gap": ORACLE_TEXT,
+    "whois": st.fixed_dictionaries({k: ORACLE_TEXT for k in ("registrant", "country",
+                                                             "created")}),
+}
+ORACLE_RECORD = st.sampled_from(sorted(ORACLE_PAYLOADS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), ORACLE_PAYLOADS[kind]))
+# how a line is written: as the store writes it, with non-ASCII characters
+# raw, with spaces after the separators, or with keys in another order
+ORACLE_FORMS = {
+    "store": lambda r: json.dumps(r, sort_keys=True, separators=(",", ":")),
+    "raw": lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=False),
+    "spaced": lambda r: json.dumps(r, sort_keys=True),
+    "reordered": lambda r: json.dumps({k: r[k] for k in ("payload", "ts", "kind")},
+                                      separators=(",", ":")),
+}
+ORACLE_LINE = st.tuples(
+    st.sampled_from([-1, 0, 1, 1, 2]),  # the step from the last line's day
+    st.integers(0, 15).map(lambda i: i == 0),  # a well-shaped date that is not one
+    ORACLE_RECORD,
+    st.sampled_from(["store"] * 5 + sorted(ORACLE_FORMS)),
+    st.sampled_from(["\n"] * 6 + ["\r\n", "\n\n", "\n \n"]))
+
+
+@st.composite
+def oracle_files(draw):
+    """The text of a store file, with an optional BOM and torn tail."""
+    day, text = 0, "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    for step, bad_date, (kind, payload), form, end in draw(st.lists(ORACLE_LINE, max_size=10)):
+        day = max(day + step, 0)
+        ts = "2021-02-30T00:00:00Z" if bad_date else \
+            (datetime(2021, 1, 1) + timedelta(days=day)).strftime(STORE_FMT)
+        text += ORACLE_FORMS[form]({"kind": kind, "payload": payload, "ts": ts}) + end
+    return text + draw(st.sampled_from(["", "", '{"kind":"gap","pay']))
+
+
+def _load_or_error(root, text):
+    (root / "x.com.jsonl").write_bytes(text.encode("utf-8"))
+    try:
+        return TimelineStore(root).load("x.com")
+    except ValueError as e:
+        return str(e)
+
+
+class TestStoreFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_files())
+    def test_load_matches_the_oracle_and_the_checked_path(self, text):
+        """``load`` reads lines of the store's own shape without ``json``;
+        it must give the oracle's timeline, or an error on the oracle's
+        line. A trailing space on every line keeps each one off that path,
+        so the same text read through ``json_lines`` and the record checks
+        alone must give the same timeline or error text."""
+        checked = "".join(line + " \n" for line in text.split("\n")[:-1]) + \
+            text.split("\n")[-1]
+        want, bad_line = _store_oracle(text)
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            got = _load_or_error(root, text)
+            assert got == _load_or_error(root, checked)
+        if bad_line is None:
+            assert got == want
+        else:
+            assert got.startswith(f"{root / 'x.com.jsonl'}, line {bad_line}: "), got
+
+    def test_fast_lines_are_the_store_lines(self):
+        # what _line writes for each resolution and probe of plain strings
+        # splits into a fast head and tail; a line the store would not
+        # write does not
+        def fast(line):
+            kind, payload = timeline._fast_head(line[:-timeline._TAIL])
+            try:
+                return kind, payload, timeline._tail_ts(line[-timeline._TAIL:])
+            except ValueError:
+                return None
+
+        ts = "2021-01-01T00:00:00Z"
+        for ips in (None, [], [""], ["1.1.1.1"], ["1.1.1.1", "::1", "a b"]):
+            line = timeline._line({"kind": "resolution", "payload": ips, "ts": ts})
+            assert fast(line[:-1]) == (
+                "resolution", None if ips is None else frozenset(ips), utc(2021, 1, 1))
+        for alive, detail in ((True, "2xx"), (False, ""), (False, "a'b:c")):
+            line = timeline._line({"kind": "probe", "ts": ts,
+                                   "payload": {"alive": alive, "detail": detail}})
+            assert fast(line[:-1]) == ("probe", (alive, detail), utc(2021, 1, 1))
+        for line in ['{"kind":"resolution","payload":["a\\"b"],"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"resolution","payload":["é"],"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"probe","payload":{"alive":true,"detail":"\\u0032xx"},'
+                     '"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"probe","payload":{"alive":true,"detail":"2xx"},'
+                     '"ts":"2021-01-01T00:00:00Z"} ',
+                     '{"kind":"probe","payload":{"alive":true,"detail":"2xx"} ,'
+                     '"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"resolution","payload":null,"ts":"2021-01-01 00:00:00Z"}',
+                     '{"kind":"resolution","payload":null,"ts":"2021-02-30T00:00:00Z"}',
+                     '{"kind":"resolution","payload":null,"tz":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"probe","payload":{"alive":true}}',
+                     ""]:
+            assert fast(line) is None or fast(line)[0] is None, line
+
+
 class TestSchedule:
     def test_cadence_minimum(self):
         w = Window(utc(2021, 1, 1), utc(2021, 1, 5))
@@ -376,6 +531,14 @@ class TestSchedule:
                        TimelineStore(tmp_path))
         t = out["a.com"]
         assert [p.alive for p in t.probes] == [True, True, False]
+
+    def test_scripted_status_is_an_http_status(self, tmp_path):
+        # 100-599 pass; anything else would be stored as an alive "-1xx"
+        prober = ScriptedProber({"a.com": [100, 599, None, "gap"]})
+        assert [prober.probe("a.com", None), prober.probe("a.com", None)] == [100, 599]
+        for status in (-1, 0, 99, 600, 10 ** 20):
+            with pytest.raises(ValueError, match="integer status from 100 to 599"):
+                ScriptedProber({"a.com": [200, status]})
 
     def test_nxdomain_is_dead_without_probe(self, tmp_path):
         resolver = ScriptedResolver({"a.com": [None]})
