@@ -57,7 +57,7 @@ class _Scripted:
             return None
         i = self._tick.get(domain, 0)
         self._tick[domain] = i + 1
-        value = seq[i] if i < len(seq) else seq[-1]
+        value = seq[min(i, len(seq) - 1)]
         if value == "gap":
             raise BackendUnavailable(f"{self.backend} outage for {domain}")
         return value

@@ -50,14 +50,14 @@ def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Pr
         t.gaps.append((ts, str(e)))
         store.append_gap(t.domain, ts, str(e))
         return
-    resolution = Resolution(ts, ips)
+    resolution = Resolution(ts=ts, ips=ips)
     try:
         if not ips:
-            probe = Probe(ts, False, "nxdomain")
+            probe = Probe(ts=ts, alive=False, detail="nxdomain")
         elif (status := prober.probe(t.domain, ts)) is None:
-            probe = Probe(ts, False, "unreachable")
+            probe = Probe(ts=ts, alive=False, detail="unreachable")
         else:
-            probe = Probe(ts, status < DEAD_STATUS, f"{status // 100}xx")
+            probe = Probe(ts=ts, alive=status < DEAD_STATUS, detail=f"{status // 100}xx")
     except BackendUnavailable as e:
         probe, gap = None, str(e)
     t.add_resolution(resolution)

@@ -113,38 +113,29 @@ def _parse_ts(s: str) -> datetime:
     return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
 
 
-# A resolution or probe line exactly as ``_line`` writes it is a head,
-# which repeats from line to line, and a tail of fixed length that holds
-# the time. A string in the head must be one that ``_quote`` writes
-# unchanged: printable ASCII but ``"`` and ``\``.
-_TAIL = len(',"ts":"YYYY-MM-DDTHH:MM:SSZ"}')
+# A resolution or probe line exactly as ``_line`` writes it. A string in
+# it must be one that ``_quote`` writes unchanged: printable ASCII but
+# ``"`` and ``\``.
 _PLAIN = r'[ !#-\[\]-~]*'
-_FAST_HEAD = re.compile(
+_FAST_LINE = re.compile(
     r'\{"kind":"(?:resolution","payload":(null|\[\]|\["(%s(?:","%s)*)"\])'
-    r'|probe","payload":\{"alive":(true|false),"detail":"(%s)"\})' % ((_PLAIN,) * 3))
+    r'|probe","payload":\{"alive":(true|false),"detail":"(%s)"\}),"ts":"(%s)"\}'
+    % ((_PLAIN,) * 4))
 
 
-def _fast_head(head: str) -> tuple:
-    """("resolution", ips) or ("probe", (alive, detail)) of a head of
-    ``_FAST_HEAD``; (None, None) for any other."""
-    m = _FAST_HEAD.fullmatch(head)
+def _fast_record(line: str) -> Resolution | Probe | None:
+    """The record of a line of ``_FAST_LINE``, None for any other line; a
+    time that does not parse raises ValueError."""
+    m = _FAST_LINE.fullmatch(line)
     if m is None:
-        return None, None
-    payload, ips, alive, detail = m.groups()
+        return None
+    payload, ips, alive, detail, ts = m.groups()
+    ts = _parse_ts(ts)
     if alive is not None:
-        return "probe", (alive == "true", detail)
+        return Probe(ts, alive == "true", detail)
     if payload == "null":
-        return "resolution", None
-    return "resolution", frozenset(() if ips is None else ips.split('","'))
-
-
-@lru_cache(maxsize=4096)
-def _tail_ts(tail: str) -> datetime:
-    """The time of a line's last ``_TAIL`` characters as ``_line`` writes
-    them; any other raises ValueError."""
-    if tail[:7] != ',"ts":"' or tail[-2:] != '"}':
-        raise ValueError(f"bad store line tail {tail!r}")
-    return _parse_ts(tail[7:-2])
+        return Resolution(ts, None)
+    return Resolution(ts, frozenset(() if ips is None else ips.split('","')))
 
 
 _RECORD_KEYS = {"kind", "payload", "ts"}
@@ -153,27 +144,16 @@ _WHOIS_KEYS = {"country", "created", "registrant"}
 _KINDS = ("resolution", "probe", "gap", "whois")
 
 
-# The payload text of a resolution's addresses and of a probe, memoized:
-# both repeat from tick to tick.
-@lru_cache(maxsize=4096)
-def _addresses(ips: tuple) -> str:
-    return "[" + ",".join(map(_quote, ips)) + "]"
-
-
-@lru_cache(maxsize=4096)
-def _probe(alive: bool, detail: str) -> str:
-    return '{"alive":%s,"detail":%s}' % ("true" if alive else "false", _quote(detail))
-
-
 def _line(record: dict) -> str:
     """The store line of ``record``: ``json.dumps(record, sort_keys=True,
     separators=(",", ":"))`` and a newline, written from the fixed shape of
     its kind."""
     kind, p = record["kind"], record["payload"]
     if kind == "resolution":
-        payload = "null" if p is None else _addresses(tuple(p))
+        payload = "null" if p is None else "[" + ",".join(map(_quote, p)) + "]"
     elif kind == "probe":
-        payload = _probe(p["alive"], p["detail"])
+        payload = '{"alive":%s,"detail":%s}' % ("true" if p["alive"] else "false",
+                                                 _quote(p["detail"]))
     elif kind == "gap":
         payload = _quote(p)
     elif kind == "whois":
@@ -285,26 +265,16 @@ class TimelineStore:
                 raise ValueError(f"unknown record kind {kind!r}")
 
         def fast(lines):
-            """``lines``, with each resolution and probe line of a fast head
-            added here and handed on blank; ``add`` words any error."""
-            heads = {}  # each distinct head of the file, decoded once
+            """``lines``, with each line of ``_FAST_LINE`` added here and
+            handed on blank; ``add`` decides again, and words, any error."""
             for line in lines:
-                head = line[:-_TAIL]
-                decoded = heads.get(head)
-                if decoded is None:
-                    decoded = heads[head] = _fast_head(head)
-                kind, payload = decoded
-                if kind is not None:
-                    try:
-                        ts = _tail_ts(line[-_TAIL:])
-                        if kind == "probe":
-                            t.add_probe(Probe(ts, *payload))
-                        else:
-                            t.add_resolution(Resolution(ts, payload))
-                    except ValueError:  # decided again, and worded, by add
-                        pass
-                    else:
+                try:
+                    rec = _fast_record(line)
+                    if rec is not None:
+                        (t.add_probe if type(rec) is Probe else t.add_resolution)(rec)
                         line = ""
+                except ValueError:  # decided again, and worded, by add
+                    pass
                 yield line
 
         with open(path, encoding="utf-8", newline="") as f:

@@ -477,24 +477,23 @@ class TestStoreFastPath:
 
     def test_fast_lines_are_the_store_lines(self):
         # what _line writes for each resolution and probe of plain strings
-        # splits into a fast head and tail; a line the store would not
-        # write does not
+        # is a fast line; a line the store would not write is not
         def fast(line):
-            kind, payload = timeline._fast_head(line[:-timeline._TAIL])
             try:
-                return kind, payload, timeline._tail_ts(line[-timeline._TAIL:])
+                rec = timeline._fast_record(line)
             except ValueError:
                 return None
+            return rec and (type(rec), rec)
 
         ts = "2021-01-01T00:00:00Z"
         for ips in (None, [], [""], ["1.1.1.1"], ["1.1.1.1", "::1", "a b"]):
             line = timeline._line({"kind": "resolution", "payload": ips, "ts": ts})
-            assert fast(line[:-1]) == (
-                "resolution", None if ips is None else frozenset(ips), utc(2021, 1, 1))
+            assert fast(line[:-1]) == (Resolution, Resolution(
+                utc(2021, 1, 1), None if ips is None else frozenset(ips)))
         for alive, detail in ((True, "2xx"), (False, ""), (False, "a'b:c")):
             line = timeline._line({"kind": "probe", "ts": ts,
                                    "payload": {"alive": alive, "detail": detail}})
-            assert fast(line[:-1]) == ("probe", (alive, detail), utc(2021, 1, 1))
+            assert fast(line[:-1]) == (Probe, Probe(utc(2021, 1, 1), alive, detail))
         for line in ['{"kind":"resolution","payload":["a\\"b"],"ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"resolution","payload":["é"],"ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"probe","payload":{"alive":true,"detail":"\\u0032xx"},'
@@ -509,7 +508,7 @@ class TestStoreFastPath:
                      '{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"probe","payload":{"alive":true}}',
                      ""]:
-            assert fast(line) is None or fast(line)[0] is None, line
+            assert fast(line) is None, line
 
 
 class TestSchedule:
