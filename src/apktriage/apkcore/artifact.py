@@ -22,7 +22,6 @@ class ApkArtifact:
     manifest: ManifestInfo | None
     signers: tuple[SignerIdentity, ...]
     manifest_mtime: datetime
-    manifest_valid: bool
     raw: bytes
 
     def entry(self, path: str) -> zipread.ZipEntry | None:
@@ -41,7 +40,7 @@ class ApkArtifact:
 def open_apk(file_bytes: bytes, known_signatures: list[dict]) -> ApkArtifact:
     """Parse an APK, classifying its signers against ``known_signatures``.
     Raises NotAZip/NoManifest; an undecodable manifest still yields an
-    artifact, flagged invalid for downstream analysis."""
+    artifact, whose ``manifest`` is None."""
     entries = zipread.list_entries(file_bytes)
     manifest_entry = next((e for e in entries if e.path == MANIFEST_PATH), None)
     if manifest_entry is None:
@@ -50,10 +49,8 @@ def open_apk(file_bytes: bytes, known_signatures: list[dict]) -> ApkArtifact:
     manifest: ManifestInfo | None
     try:
         manifest = parse_manifest(zipread.read_entry(file_bytes, manifest_entry))
-        valid = True
     except ManifestUndecodable:
         manifest = None
-        valid = False
 
     blocks = {e.path: zipread.read_entry(file_bytes, e)
               for e in entries if is_signature_block(e.path)}
@@ -66,6 +63,5 @@ def open_apk(file_bytes: bytes, known_signatures: list[dict]) -> ApkArtifact:
         manifest=manifest,
         signers=signers,
         manifest_mtime=manifest_entry.mtime,
-        manifest_valid=valid,
         raw=file_bytes,
     )

@@ -15,11 +15,8 @@ from apktriage.apkcore.errors import ManifestUndecodable
 
 CHUNK_STRING_POOL = 0x0001
 CHUNK_XML = 0x0003
-CHUNK_START_NAMESPACE = 0x0100
-CHUNK_END_NAMESPACE = 0x0101
 CHUNK_START_ELEMENT = 0x0102
 CHUNK_END_ELEMENT = 0x0103
-CHUNK_CDATA = 0x0104
 CHUNK_RESOURCE_MAP = 0x0180
 
 TYPE_STRING = 0x03
@@ -28,15 +25,8 @@ TYPE_INT_BOOLEAN = 0x12
 UTF8_FLAG = 1 << 8
 
 # Attribute names referenced through the resource map may have an empty
-# string-pool entry; recover the ones the manifest analysis needs.
-_RES_ATTR_NAMES = {
-    0x01010000: "theme",
-    0x01010001: "label",
-    0x01010003: "name",
-    0x0101020C: "minSdkVersion",
-    0x01010270: "targetSdkVersion",
-    0x01010272: "versionCode",
-}
+# string-pool entry; recover the one the manifest analysis needs.
+_RES_ATTR_NAMES = {0x01010003: "name"}
 
 
 @dataclass
@@ -150,9 +140,8 @@ def parse_axml(data: bytes) -> AxmlElement:
             if not stack:
                 raise ManifestUndecodable("unbalanced end element")
             stack.pop()
-        elif ctype in (CHUNK_START_NAMESPACE, CHUNK_END_NAMESPACE, CHUNK_CDATA):
-            pass
-        # unknown chunk types are skipped, matching platform behaviour
+        # other chunk types (namespaces, CDATA, unknown ones) are skipped,
+        # matching platform behaviour
         pos += csize
 
     if root is None:
@@ -160,13 +149,6 @@ def parse_axml(data: bytes) -> AxmlElement:
     if stack:
         raise ManifestUndecodable("unclosed elements at end of document")
     return root
-
-
-def _attr_name(pool: _StringPool, res_map: list[int], idx: int) -> str:
-    name = pool.get(idx)
-    if not name and idx < len(res_map):
-        name = _RES_ATTR_NAMES.get(res_map[idx], "")
-    return name
 
 
 def _parse_start_element(data, pos, chdr, pool, res_map) -> AxmlElement:
@@ -184,7 +166,9 @@ def _parse_start_element(data, pos, chdr, pool, res_map) -> AxmlElement:
                 "<IIIHBBI", data, apos)
         except struct.error:
             raise ManifestUndecodable("truncated attribute record") from None
-        name = _attr_name(pool, res_map, a_name)
+        name = pool.get(a_name)
+        if not name and a_name < len(res_map):
+            name = _RES_ATTR_NAMES.get(res_map[a_name], "")
         value: object
         if vtype == TYPE_STRING:
             value = pool.get(vdata)

@@ -16,8 +16,6 @@ class ManifestInfo:
     package_name: str
     main_activity: str | None
     permissions: frozenset[str]
-    min_sdk: int | None = None
-    target_sdk: int | None = None
 
 
 def _str_attr(elem: AxmlElement, name: str) -> str | None:
@@ -60,15 +58,6 @@ def parse_manifest(axml_bytes: bytes) -> ManifestInfo:
         if name:
             permissions.add(name)
 
-    min_sdk = target_sdk = None
-    for sdk in root.find_all("uses-sdk"):
-        v = sdk.attr("minSdkVersion")
-        if isinstance(v, int):
-            min_sdk = v
-        v = sdk.attr("targetSdkVersion")
-        if isinstance(v, int):
-            target_sdk = v
-
     main_activity = None
     for app in root.find_all("application"):
         for tag in ("activity", "activity-alias"):
@@ -82,6 +71,4 @@ def parse_manifest(axml_bytes: bytes) -> ManifestInfo:
         package_name=package,
         main_activity=main_activity,
         permissions=frozenset(permissions),
-        min_sdk=min_sdk,
-        target_sdk=target_sdk,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from apktriage.apkcore.manifest import ManifestInfo
-from apktriage.util import read_data_text
+from apktriage.util import list_file_entries, read_data_text
 
 
 @dataclass(frozen=True)
@@ -24,18 +24,16 @@ class PermissionProfile:
 
 
 def load_dangerous_db(path=None) -> frozenset[str]:
-    text = read_data_text(path, "dangerous_permissions.txt")
-    perms = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            perms.add(line)
-    return frozenset(perms)
+    """The permissions listed in the file at ``path``, or in the embedded
+    list when ``path`` is None; a list with none is a ``ValueError``."""
+    perms = frozenset(list_file_entries(
+        read_data_text(path, "dangerous_permissions.txt").splitlines()))
+    if not perms:
+        raise ValueError(f"{path}: the dangerous-permission list is empty")
+    return perms
 
 
 def permission_profile(m: ManifestInfo, dangerous_db: frozenset[str]) -> PermissionProfile:
-    if not dangerous_db:
-        raise ValueError("dangerous-permission database is empty")
     dangerous = len(m.permissions & dangerous_db)
     return PermissionProfile(dangerous_count=dangerous,
                              normal_count=len(m.permissions) - dangerous)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.genscan.fingerprints import GeneratorMatch
 
@@ -17,18 +15,11 @@ _BROWSER_LIBS = ("libxwalkcore.so", "libmttwebview.so", "libwebviewchromium.so")
 WEB_BYTE_RATIO = 0.3
 
 
-@dataclass(frozen=True)
-class ParadigmLabel:
-    value: str
-    evidence: tuple[str, ...]
-
-
-def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None) -> ParadigmLabel:
+def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None) -> str:
     """Hybrid iff a generator matched, or HTML/JS bytes dominate the
     assets, or a known embedded-browser framework is bundled."""
-    evidence = []
     if match is not None:
-        evidence.append(f"generator:{match.generator_id}")
+        return PARADIGM_HYBRID
 
     asset_bytes = web_bytes = 0
     for e in apk.entries:
@@ -37,12 +28,9 @@ def classify_paradigm(apk: ApkArtifact, match: GeneratorMatch | None) -> Paradig
             if e.path.lower().endswith(_WEB_SUFFIXES):
                 web_bytes += e.size
     if asset_bytes and web_bytes / asset_bytes >= WEB_BYTE_RATIO:
-        evidence.append(f"web_asset_ratio:{web_bytes / asset_bytes:.2f}")
+        return PARADIGM_HYBRID
 
-    for e in apk.entries:
-        if e.path.startswith("lib/") and e.path.rsplit("/", 1)[-1] in _BROWSER_LIBS:
-            evidence.append(f"browser_lib:{e.path.rsplit('/', 1)[-1]}")
-            break
-
-    value = PARADIGM_HYBRID if evidence else PARADIGM_NATIVE
-    return ParadigmLabel(value=value, evidence=tuple(evidence))
+    if any(e.path.startswith("lib/") and e.path.rsplit("/", 1)[-1] in _BROWSER_LIBS
+           for e in apk.entries):
+        return PARADIGM_HYBRID
+    return PARADIGM_NATIVE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -12,7 +13,7 @@ from apktriage.apkcore import zipread
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.apkcore.errors import ApkError
 from apktriage.extract.psl import SuffixList
-from apktriage.util import read_data_text
+from apktriage.util import list_file_entries, read_data_text
 
 # With IGNORECASE, the URL pattern has no literal prefix for ``re`` to scan
 # for, so ``_url_matches`` tries it only 5 and 4 characters before each "://".
@@ -227,20 +228,12 @@ def load_whitelist(path=None) -> frozenset[str]:
     """Ranked-domain whitelist: plain or "rank,domain" lines, truncated
     at ``WHITELIST_LIMIT``, merged with the curated third-party-service
     list."""
-    domains: set[str] = set()
+    domains = {d.lower() for d in list_file_entries(
+        read_data_text(None, "third_party_domains.txt").splitlines())}
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            for n, line in enumerate(f):
-                if n >= WHITELIST_LIMIT:
-                    break
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                domains.add(line.split(",")[-1].lower())
-    for line in read_data_text(None, "third_party_domains.txt").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            domains.add(line.lower())
+            domains.update(d.split(",")[-1].lower()
+                           for d in list_file_entries(itertools.islice(f, WHITELIST_LIMIT)))
     return frozenset(domains)
 
 

@@ -20,12 +20,12 @@ class DecryptedAssets:
 
 
 def looks_plaintext(data: bytes) -> bool:
-    """Accept decryption output that starts with a known magic or is
-    mostly valid UTF-8 (>= 90% of bytes decodable)."""
+    """Accept decryption output that starts, after any leading whitespace,
+    with a known magic, or is mostly valid UTF-8 (>= 90% of bytes
+    decodable)."""
     if not data:
         return False
-    stripped = data.lstrip()
-    if any(stripped.startswith(m) or data.startswith(m) for m in _PLAINTEXT_MAGICS):
+    if data.lstrip().startswith(_PLAINTEXT_MAGICS):
         return True
     view = data[:4096]
     valid = len(view.decode("utf-8", "ignore").encode("utf-8"))
@@ -52,14 +52,12 @@ def _resolve_key(apk: ApkArtifact, fp: GeneratorFingerprint) -> bytes:
 
 def decrypt_assets(apk: ApkArtifact, match: GeneratorMatch) -> DecryptedAssets:
     """Decrypt every entry under the generator's protected paths with the
-    key its fingerprint names.
+    key its fingerprint names. The fingerprint must declare a cipher.
 
     Entries whose plaintext fails the validation heuristic are left
     encrypted and listed in ``failed``.
     """
     fp = match.fingerprint
-    if fp.cipher.algo is None:
-        raise CipherError(f"generator {fp.generator_id} declares no cipher")
     key = _resolve_key(apk, fp)
 
     assets = DecryptedAssets()

@@ -10,7 +10,7 @@ extend or override it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from apktriage.apkcore.artifact import ApkArtifact
 from apktriage.util import read_data_text, read_json
@@ -34,8 +34,7 @@ class EvidenceRule:
         if self.kind == RULE_PACKAGE_PREFIX:
             return apk.package_name.startswith(self.value)
         if self.kind == RULE_ASSET_PATH:
-            return any(e.path == self.value or e.path.startswith(self.value)
-                       for e in apk.entries)
+            return any(e.path.startswith(self.value) for e in apk.entries)
         if self.kind == RULE_NATIVE_LIB:
             return any(e.path.startswith("lib/") and e.path.endswith("/" + self.value)
                        for e in apk.entries)
@@ -45,7 +44,7 @@ class EvidenceRule:
 @dataclass(frozen=True)
 class CipherScheme:
     algo: str | None  # RC4 | TEA | AES_CBC | DES_CBC | None
-    key_source: dict = field(default_factory=lambda: {"type": "external"})
+    key_source: dict | None  # None or an unknown type: no key
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class GeneratorFingerprint:
 @dataclass(frozen=True)
 class GeneratorMatch:
     fingerprint: GeneratorFingerprint
-    matched_rules: tuple[EvidenceRule, ...]
     confidence: float
 
     @property
@@ -112,7 +110,7 @@ def _parse_fingerprint(obj) -> GeneratorFingerprint:
         evidence_rules=tuple(EvidenceRule(r["kind"], r["value"]) for r in rules),
         cipher=CipherScheme(
             algo=cipher.get("algo"),
-            key_source=cipher.get("key_source", {"type": "external"}),
+            key_source=cipher.get("key_source"),
         ),
         protected_paths=tuple(paths),
     )
@@ -145,9 +143,7 @@ def detect_generator(apk: ApkArtifact, db: list[GeneratorFingerprint]) -> Genera
     """
     candidates = []
     for fp in db:
-        matched = tuple(r for r in fp.evidence_rules if r.fires(apk))
+        matched = sum(r.fires(apk) for r in fp.evidence_rules)
         if matched:
-            candidates.append(GeneratorMatch(fp, matched, len(matched) / len(fp.evidence_rules)))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda m: (-m.confidence, m.generator_id))
+            candidates.append(GeneratorMatch(fp, matched / len(fp.evidence_rules)))
+    return min(candidates, key=lambda m: (-m.confidence, m.generator_id), default=None)

@@ -36,20 +36,35 @@ class WhoisClient(Protocol):
 
 
 class _Scripted:
-    """Per-domain list of values consumed one per call; the final value
+    """Per-domain list of answers given one per call; the final answer
     repeats, an unscripted domain gives None, and the string "gap" raises
-    BackendUnavailable naming the ``backend``. Any other value must pass
-    the subclass's ``_answer``, or construction raises ``ValueError``."""
+    BackendUnavailable naming the ``backend``. Construction converts every
+    other value with the subclass's ``_answer``, which raises
+    ``ValueError`` for a wrong-shaped one."""
 
     def __init__(self, script: dict[str, list]):
-        if type(script) is not dict or not all(
-                type(seq) is list and all(v is None or v == "gap" or self._answer(v)
-                                          for v in seq)
-                for seq in script.values()):
+        try:
+            if type(script) is not dict:
+                raise ValueError
+            self.script = {d: self._answers(seq) for d, seq in script.items()}
+        except ValueError:
             raise ValueError(f"the {self.backend} script must map each domain to a list "
-                             f'of null, "gap" or {self.answer_kind}')
-        self.script = script
+                             f'of null, "gap" or {self.answer_kind}') from None
         self._tick: dict[str, int] = {}
+
+    def _answers(self, seq) -> list:
+        """The answer to each value of ``seq``. A value equal to the one before
+        it, and of its type, shares its answer: a script repeats a domain's
+        state tick after tick, and such JSON values convert alike."""
+        if type(seq) is not list:
+            raise ValueError
+        answers, last, answer = [], None, None
+        for value in seq:
+            if type(value) is not type(last) or value != last:
+                last = value
+                answer = value if value is None or value == "gap" else self._answer(value)
+            answers.append(answer)
+        return answers
 
     def _next(self, domain):
         seq = self.script.get(domain)
@@ -69,12 +84,13 @@ class ScriptedResolver(_Scripted):
     backend, answer_kind = "resolver", "a list of address strings"
 
     @staticmethod
-    def _answer(value) -> bool:
-        return type(value) is list and all(type(ip) is str for ip in value)
+    def _answer(value) -> frozenset[str]:
+        if type(value) is not list or not set(map(type, value)) <= {str}:
+            raise ValueError
+        return frozenset(value)
 
     def resolve(self, domain, ts):
-        value = self._next(domain)
-        return None if value is None else frozenset(value)
+        return self._next(domain)
 
 
 class ScriptedProber(_Scripted):
@@ -83,8 +99,10 @@ class ScriptedProber(_Scripted):
     backend, answer_kind = "prober", "an integer status from 100 to 599"
 
     @staticmethod
-    def _answer(value) -> bool:
-        return type(value) is int and 100 <= value <= 599  # not bool
+    def _answer(value) -> int:
+        if type(value) is not int or not 100 <= value <= 599:  # not bool
+            raise ValueError
+        return value
 
     def probe(self, domain, ts):
         return self._next(domain)

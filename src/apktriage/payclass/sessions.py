@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
-from apktriage.util import pct, read_json_lines
+from apktriage.util import list_file_entries, pct, read_json_lines
 
 KIND_THIRD_PARTY = "ThirdParty"
 KIND_FOURTH_PARTY = "FourthParty"
@@ -68,22 +68,15 @@ class PaymentClassification:
 
 
 def _infer_channel(obs) -> tuple[str, list[str]]:
-    evidence = []
+    """The channel of a non-empty session, with its evidence."""
     hints = Counter(o.channel_hint for o in obs if o.channel_hint != CHANNEL_UNKNOWN)
     if hints:
         channel = max(sorted(hints), key=lambda c: hints[c])
-        evidence.append(f"majority channel hint {channel} ({hints[channel]}/{len(obs)})")
-    else:
-        channel = CHANNEL_UNKNOWN
-    if channel == CHANNEL_UNKNOWN:
-        matched = [o.recipient_id for o in obs
-                   if any(p.match(o.recipient_id) for p in DIGITAL_PATTERNS)]
-        if matched and len(matched) == len(obs):
-            channel = CHANNEL_DIGITAL
-            evidence.append(
-                f"all {len(obs)} recipient identifiers match digital-currency "
-                f"address syntax")
-    return channel, evidence
+        return channel, [f"majority channel hint {channel} ({hints[channel]}/{len(obs)})"]
+    if all(any(p.match(o.recipient_id) for p in DIGITAL_PATTERNS) for o in obs):
+        return CHANNEL_DIGITAL, [f"all {len(obs)} recipient identifiers match "
+                                 "digital-currency address syntax"]
+    return CHANNEL_UNKNOWN, []
 
 
 def classify_session(obs, licensed_db) -> PaymentClassification:
@@ -97,8 +90,6 @@ def classify_session(obs, licensed_db) -> PaymentClassification:
     if not obs:
         raise EmptySession("session contains no observations")
     session_id = obs[0].session_id
-    if any(o.session_id != session_id for o in obs):
-        raise ValueError("observations span multiple sessions")
     indices = [o.request_index for o in obs]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate request_index within session")
@@ -187,10 +178,5 @@ def load_licensed_db(path) -> frozenset[str]:
     No path gives an empty DB."""
     if path is None:
         return frozenset()
-    domains = set()
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip().lower()
-            if line and not line.startswith("#"):
-                domains.add(line)
-    return frozenset(domains)
+        return frozenset(d.lower() for d in list_file_entries(f))

@@ -83,7 +83,7 @@ def permission_aggregate(profiles):
 
 def paradigm_stats(paradigms) -> dict:
     """Fraction of hybrid apps over classified samples."""
-    counts = Counter(p.value if hasattr(p, "value") else p for p in paradigms)
+    counts = Counter(paradigms)
     total = sum(counts.values())
     hybrid = counts.get("Hybrid", 0)
     return {

@@ -86,12 +86,11 @@ def _scan_one(apk_path: str) -> tuple[str, str | None]:
         "sample_id": apk.sample_id,
         "path": apk_path,
         "package": apk.package_name,
-        "manifest_valid": apk.manifest_valid,
-        "manifest_mtime": apk.manifest_mtime.isoformat()
-        if apk.manifest_mtime else None,
+        "manifest_valid": apk.manifest is not None,
+        "manifest_mtime": apk.manifest_mtime.isoformat(),
         "generator": match.generator_id if match else None,
         "generator_confidence": match.confidence if match else None,
-        "paradigm": paradigm.value,
+        "paradigm": paradigm,
         "urls": sorted(urls.urls),
         "domains": sorted(urls.domains),
         "ip_literals": sorted(urls.ip_literals),
@@ -250,7 +249,7 @@ def cmd_watch(args) -> int:
     from apktriage.infrawatch.schedule import Window
     from apktriage.infrawatch.timeline import TimelineStore
     from apktriage.reportcli.emit import _json_string, _write, emit_report
-    from apktriage.util import read_json
+    from apktriage.util import list_file_entries, read_json
 
     def scripted(script):
         if type(script) is not dict:
@@ -265,7 +264,7 @@ def cmd_watch(args) -> int:
     except OverflowError:  # beyond timedelta's 999999999 days
         raise ValueError(f"--cadence-days {args.cadence_days} is out of range") from None
     with open(args.domains, encoding="utf-8") as f:
-        domains = [d for d in map(str.strip, f) if d and not d.startswith("#")]
+        domains = list_file_entries(f)
     if args.script:
         backends = read_json(args.script, scripted)
     else:

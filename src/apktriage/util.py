@@ -18,6 +18,12 @@ def read_data_text(path, name: str) -> str:
         return f.read()
 
 
+def list_file_entries(lines) -> list[str]:
+    """The entries of a list file's ``lines``: each line up to its first
+    ``#``, stripped, and kept when anything is left."""
+    return [entry for line in lines if (entry := line.split("#", 1)[0].strip())]
+
+
 def read_json(path, parse):
     """``parse`` of the JSON document in the file at ``path``. ``parse``
     checks its shape and raises ``ValueError`` for any other; that, a file

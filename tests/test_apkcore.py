@@ -31,7 +31,7 @@ class TestOpenApk:
                                      "android.permission.READ_SMS"))
         apk = open_apk(raw, KNOWN)
         assert apk.package_name == "com.fixture.app"
-        assert apk.manifest_valid
+        assert apk.manifest is not None
         assert apk.manifest.main_activity == "com.fixture.app.MainActivity"
         assert "android.permission.READ_SMS" in apk.manifest.permissions
         import hashlib
@@ -47,8 +47,8 @@ class TestOpenApk:
 
     def test_invalid_manifest_flagged_not_fatal(self):
         apk = open_apk(build_apk(manifest_bytes=b"\x99\x99 broken axml"), KNOWN)
-        assert not apk.manifest_valid
         assert apk.manifest is None
+        assert apk.package_name == ""
 
     def test_manifest_mtime(self):
         apk = open_apk(build_apk(manifest_mtime=(2020, 12, 6, 0, 0, 0)), KNOWN)
@@ -111,7 +111,9 @@ class TestPermissions:
         assert profile.normal_count == 1
         assert profile.all_count == 3
 
-    def test_empty_db_rejected(self):
-        apk = open_apk(build_apk(), KNOWN)
-        with pytest.raises(ValueError):
-            permission_profile(apk.manifest, frozenset())
+    def test_empty_db_rejected(self, tmp_path):
+        path = tmp_path / "dangerous.txt"
+        for text in ("", "# no permissions\n\n  # at all\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="dangerous.txt"):
+                load_dangerous_db(path)

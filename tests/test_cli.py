@@ -306,6 +306,21 @@ def test_scan_survives_hostile_manifest_header(tmp_path):
         assert [r["manifest_valid"] for r in recs] == [True, False, True]
 
 
+def test_scan_empty_dangerous_permission_list_fails_before_any_apk(tmp_path, capsys):
+    d = tmp_path / "apks"
+    d.mkdir()
+    (d / "a.apk").write_bytes(build_apk(manifest_bytes=b"\x99\x99 broken axml"))
+    (d / "b.apk").write_bytes(build_apk(package="com.b"))
+    perms = tmp_path / "dangerous.txt"
+    out = tmp_path / "scan.jsonl"
+    for text in ("", "# none listed\n\n"):
+        perms.write_text(text)
+        assert main(["scan", str(d), "--output", str(out),
+                     "--dangerous-permission-file", str(perms)]) == 1
+        assert not out.exists()
+        assert str(perms) in capsys.readouterr().err
+
+
 def test_scan_loads_reference_data_once(tmp_path, monkeypatch):
     from apktriage.apkcore import certs, permissions
     from apktriage.extract import psl
@@ -934,6 +949,20 @@ def test_payclass_without_licensed_db(tmp_path):
     out = tmp_path / "p.json"
     assert main(["payclass", str(obs), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["sessions"][0]["session_id"] == "s1"
+
+
+def test_payclass_licensed_db_inline_comment(tmp_path):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text("".join(json.dumps(
+        {"session_id": "s1", "request_index": i, "amount": "1.00",
+         "payment_domain": "pay.example", "recipient_id": "acct-1"}) + "\n"
+        for i in (1, 2, 3)))
+    licensed = tmp_path / "licensed.txt"
+    licensed.write_text("# licensed payment services\nPay.Example  # licensed 2020\n")
+    out = tmp_path / "p.json"
+    assert main(["payclass", str(obs), "--licensed-db", str(licensed),
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["sessions"][0]["service_kind"] == "ThirdParty"
 
 
 def test_report_cli_and_invalid_labels(tmp_path):

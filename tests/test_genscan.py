@@ -62,8 +62,8 @@ def test_appcan_full_confidence():
     match = detect_generator(apk, DB)
     assert match.generator_id == "AppCan"
     assert match.fingerprint is next(fp for fp in DB if fp.generator_id == "AppCan")
+    assert len(match.fingerprint.evidence_rules) == 2
     assert match.confidence == 1.0
-    assert len(match.matched_rules) == 2
 
 
 def test_no_generator_returns_none():

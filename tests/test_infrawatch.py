@@ -539,6 +539,21 @@ class TestSchedule:
             with pytest.raises(ValueError, match="integer status from 100 to 599"):
                 ScriptedProber({"a.com": [200, status]})
 
+    def test_scripted_values_convert_at_load(self):
+        # an equal value of another type is checked, not given the last answer
+        with pytest.raises(ValueError, match="integer status from 100 to 599"):
+            ScriptedProber({"a.com": [200, 200.0]})
+        script = [["1.1.1.1"], ["1.1.1.1"], "gap", ["2.2.2.2", "1.1.1.1"], None]
+        resolver = ScriptedResolver({"a.com": script})
+        got = []
+        for _ in range(len(script) + 1):  # the last value repeats
+            try:
+                got.append(resolver.resolve("a.com", None))
+            except BackendUnavailable:
+                got.append("gap")
+        assert got == [frozenset({"1.1.1.1"})] * 2 + [
+            "gap", frozenset({"1.1.1.1", "2.2.2.2"}), None, None]
+
     def test_nxdomain_is_dead_without_probe(self, tmp_path):
         resolver = ScriptedResolver({"a.com": [None]})
         prober = ScriptedProber({"a.com": [200]})
