@@ -53,18 +53,10 @@ class _Scripted:
         self._tick: dict[str, int] = {}
 
     def _answers(self, seq) -> list:
-        """The answer to each value of ``seq``. A value equal to the one before
-        it, and of its type, shares its answer: a script repeats a domain's
-        state tick after tick, and such JSON values convert alike."""
+        """The answer to each value of ``seq``."""
         if type(seq) is not list:
             raise ValueError
-        answers, last, answer = [], None, None
-        for value in seq:
-            if type(value) is not type(last) or value != last:
-                last = value
-                answer = value if value is None or value == "gap" else self._answer(value)
-            answers.append(answer)
-        return answers
+        return [v if v is None or v == "gap" else self._answer(v) for v in seq]
 
     def _next(self, domain):
         seq = self.script.get(domain)
