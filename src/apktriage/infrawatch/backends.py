@@ -9,6 +9,7 @@ import lazily; WHOIS records come only from a script.
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import chain
 from typing import Protocol
 
 from apktriage.infrawatch.timeline import WhoisRecord
@@ -36,27 +37,20 @@ class WhoisClient(Protocol):
 
 
 class _Scripted:
-    """Per-domain list of answers given one per call; the final answer
+    """Per-domain list of values consumed one per call; the final value
     repeats, an unscripted domain gives None, and the string "gap" raises
-    BackendUnavailable naming the ``backend``. Construction converts every
-    other value with the subclass's ``_answer``, which raises
-    ``ValueError`` for a wrong-shaped one."""
+    BackendUnavailable naming the ``backend``. The other values of each
+    domain must pass the subclass's ``_valid``, or construction raises
+    ``ValueError``."""
 
     def __init__(self, script: dict[str, list]):
-        try:
-            if type(script) is not dict:
-                raise ValueError
-            self.script = {d: self._answers(seq) for d, seq in script.items()}
-        except ValueError:
+        if type(script) is not dict or not all(
+                type(seq) is list and self._valid([v for v in seq if v is not None and v != "gap"])
+                for seq in script.values()):
             raise ValueError(f"the {self.backend} script must map each domain to a list "
-                             f'of null, "gap" or {self.answer_kind}') from None
+                             f'of null, "gap" or {self.answer_kind}')
+        self.script = script
         self._tick: dict[str, int] = {}
-
-    def _answers(self, seq) -> list:
-        """The answer to each value of ``seq``."""
-        if type(seq) is not list:
-            raise ValueError
-        return [v if v is None or v == "gap" else self._answer(v) for v in seq]
 
     def _next(self, domain):
         seq = self.script.get(domain)
@@ -76,13 +70,13 @@ class ScriptedResolver(_Scripted):
     backend, answer_kind = "resolver", "a list of address strings"
 
     @staticmethod
-    def _answer(value) -> frozenset[str]:
-        if type(value) is not list or not set(map(type, value)) <= {str}:
-            raise ValueError
-        return frozenset(value)
+    def _valid(values: list) -> bool:
+        return (set(map(type, values)) <= {list}
+                and set(map(type, chain.from_iterable(values))) <= {str})
 
     def resolve(self, domain, ts):
-        return self._next(domain)
+        value = self._next(domain)
+        return None if value is None else frozenset(value)
 
 
 class ScriptedProber(_Scripted):
@@ -91,10 +85,9 @@ class ScriptedProber(_Scripted):
     backend, answer_kind = "prober", "an integer status from 100 to 599"
 
     @staticmethod
-    def _answer(value) -> int:
-        if type(value) is not int or not 100 <= value <= 599:  # not bool
-            raise ValueError
-        return value
+    def _valid(values: list) -> bool:
+        return (set(map(type, values)) <= {int}  # not bool
+                and 100 <= min(values, default=100) and max(values, default=599) <= 599)
 
     def probe(self, domain, ts):
         return self._next(domain)
