@@ -25,14 +25,15 @@ so only pairs that share a key are looked at:
 Keys in different tables never meet, so a domain equal to an IP or a DN
 value links nothing. ``fired_rules`` in ``rules.py`` is the per-pair
 reference these decisions agree with. Groups are the connected
-components of the edge set, so the output is independent of input
-ordering. Nothing built here holds a cycle, so ``build_graph`` runs with
-the cyclic garbage collector paused.
+components of the edge set, found by union-find over the fired pairs,
+so the output is independent of input ordering. Nothing built here holds
+a cycle, so ``build_graph`` runs with the cyclic garbage collector
+paused.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from json.encoder import encode_basestring_ascii as _quote
@@ -54,27 +55,6 @@ class AssociationGraph:
     nodes: tuple[str, ...]  # sorted sample ids
     edges: tuple[tuple[str, str, tuple[str, ...]], ...]  # (a, b, rules), a < b
     groups: tuple[tuple[str, ...], ...]  # connected components, each sorted
-
-
-def _components(nodes, adj) -> tuple[tuple[str, ...], ...]:
-    seen: set[str] = set()
-    comps = []
-    for n in sorted(nodes):
-        if n in seen:
-            continue
-        comp = {n}
-        queue = deque([n])
-        seen.add(n)
-        while queue:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return tuple(comps)
 
 
 def _snapshot_blocks(d: int) -> list[tuple[int, int]]:
@@ -161,8 +141,15 @@ def _fired_rows(ordered: list[SampleFeatures]) -> list[list[tuple[int, tuple[str
     return rows
 
 
+def _root(parent: list[int], x: int) -> int:
+    """The root of x's set, halving the path on the way."""
+    while (up := parent[x]) != x:
+        parent[x] = x = parent[up]
+    return x
+
+
 def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
-    with gc_paused():  # postings, pairs, edges and adjacency hold no cycle
+    with gc_paused():  # postings, pairs and edges hold no cycle
         dupes = sorted(i for i, n in Counter(s.sample_id for s in samples).items() if n > 1)
         if dupes:
             raise DuplicateSampleId("duplicate sample ids: " + ", ".join(dupes))
@@ -170,45 +157,67 @@ def build_graph(samples: list[SampleFeatures]) -> AssociationGraph:
         ordered = sorted(samples, key=lambda s: s.sample_id)
         nodes = tuple(s.sample_id for s in ordered)
         edges = []
-        adj: dict[str, set[str]] = {n: set() for n in nodes}
-        for a, row in zip(nodes, _fired_rows(ordered)):
+        parent = list(range(len(nodes)))  # union-find over node indices
+        rows = _fired_rows(ordered)
+        for i, a in enumerate(nodes):
+            row, rows[i] = rows[i], None
+            root = _root(parent, i)
             for j, rules in row:
-                b = nodes[j]
-                edges.append((a, b, rules))
-                adj[a].add(b)
-                adj[b].add(a)
-        groups = _components(nodes, adj)
-    return AssociationGraph(nodes=nodes, edges=tuple(edges), groups=groups)
+                edges.append((a, nodes[j], rules))
+                parent[_root(parent, j)] = root
+        members: dict[int, list[str]] = {}
+        for i, n in enumerate(nodes):  # in node order, so each group is sorted
+            members.setdefault(_root(parent, i), []).append(n)
+        groups = sorted(map(tuple, members.values()), key=lambda c: (-len(c), c[0]))
+    return AssociationGraph(nodes=nodes, edges=tuple(edges), groups=tuple(groups))
+
+
+def _array_pieces(parts, indent: int):
+    """A JSON array of already-encoded items, laid out as ``indent=2``
+    lays it out at ``indent`` columns, in pieces of one item each with
+    the separator before it; ``[]`` when empty."""
+    items = iter(parts)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    inner = "\n" + " " * (indent + 2)
+    yield "[" + inner + first
+    for part in items:
+        yield "," + inner + part
+    yield "\n" + " " * indent + "]"
 
 
 def _array(parts, indent: int) -> str:
-    """A JSON array of already-encoded items, laid out as ``indent=2``
-    lays it out at ``indent`` columns; ``[]`` when empty."""
-    if not parts:
-        return "[]"
-    inner = "\n" + " " * (indent + 2)
-    return "[" + inner + ("," + inner).join(parts) + "\n" + " " * indent + "]"
+    return "".join(_array_pieces(parts, indent))
 
 
-def graph_to_json(g: AssociationGraph) -> str:
-    """The graph as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    would write ``{"edges": [{"a", "b", "rules"}], "groups", "nodes"}``.
+def graph_to_json(g: AssociationGraph, f) -> None:
+    """Write the graph to the text file ``f`` as ``json.dump(obj, f,
+    sort_keys=True, indent=2)`` and a newline would write
+    ``{"edges": [{"a", "b", "rules"}], "groups", "nodes"}``.
 
     The shape is fixed and every leaf is a string, so the layout is written
-    directly: ``json.dumps`` runs its pure-Python encoder whenever
-    ``indent`` is set. Strings go through the stdlib's C escaper, each
-    node id once (edges and groups name nodes), and each distinct rule
-    tuple is formatted once."""
+    directly, one edge record, group or node at a time: ``json`` runs its
+    pure-Python encoder whenever ``indent`` is set. Strings go through the
+    stdlib's C escaper, each node id once (edges and groups name nodes),
+    and each distinct rule tuple is formatted once."""
     quoted = dict(zip(g.nodes, map(_quote, g.nodes)))
     rules_json: dict[tuple[str, ...], str] = {}
-    edges = []
-    for a, b, rules in g.edges:
-        r = rules_json.get(rules)
-        if r is None:
-            r = rules_json[rules] = _array(list(map(_quote, rules)), 6)
-        edges.append(f'{{\n      "a": {quoted[a]},\n      "b": {quoted[b]},'
-                     f'\n      "rules": {r}\n    }}')
-    groups = [_array([quoted[n] for n in c], 4) for c in g.groups]
-    nodes = [quoted[n] for n in g.nodes]
-    return (f'{{\n  "edges": {_array(edges, 2)},\n  "groups": {_array(groups, 2)},'
-            f'\n  "nodes": {_array(nodes, 2)}\n}}\n')
+
+    def edge_records():
+        for a, b, rules in g.edges:
+            r = rules_json.get(rules)
+            if r is None:
+                r = rules_json[rules] = _array(map(_quote, rules), 6)
+            yield (f'{{\n      "a": {quoted[a]},\n      "b": {quoted[b]},'
+                   f'\n      "rules": {r}\n    }}')
+
+    groups = (_array([quoted[n] for n in c], 4) for c in g.groups)
+    nodes = (quoted[n] for n in g.nodes)
+    for head, parts in (('{\n  "edges": ', edge_records()), (',\n  "groups": ', groups),
+                        (',\n  "nodes": ', nodes)):
+        f.write(head)
+        for piece in _array_pieces(parts, 2):
+            f.write(piece)
+    f.write("\n}\n")

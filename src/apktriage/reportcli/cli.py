@@ -208,11 +208,12 @@ def cmd_assoc(args) -> int:
     from apktriage.assoc.features import read_features_jsonl
     from apktriage.assoc.graph import build_graph, graph_to_json
     from apktriage.assoc.stats import group_stats, group_table
-    from apktriage.reportcli.emit import _write, emit_report
+    from apktriage.reportcli.emit import emit_report, open_output
 
     features = read_features_jsonl(args.features)
     graph = build_graph(features)
-    _write(args.output + ".graph.json", graph_to_json(graph))
+    with open_output(args.output + ".graph.json") as f:
+        graph_to_json(graph, f)
     corpus_size = len(features) if args.corpus_size is None else args.corpus_size
     labels = {s.sample_id: s.label for s in features if s.label}
     emit_report(args.output, *group_table(group_stats(graph, labels, corpus_size)))

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -21,13 +22,22 @@ class IoFailure(OSError):
     """Report files could not be written."""
 
 
-def _write(path: str, data: str) -> None:
+@contextmanager
+def open_output(path: str):
+    """The output file at ``path``, open for writing text, in a directory
+    made as needed. An ``OSError`` from the open or from a write in the
+    body is an ``IoFailure`` naming the path."""
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(data)
+            yield f
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write(path: str, data: str) -> None:
+    with open_output(path) as f:
+        f.write(data)
 
 
 def _csv_string(header, rows) -> str:

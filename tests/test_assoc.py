@@ -1,5 +1,6 @@
 """Association rules, blocked graph construction and group statistics."""
 
+import io
 import json
 import random
 from collections import deque
@@ -140,7 +141,14 @@ class TestGraph:
 
     def test_graph_json_deterministic(self):
         g = build_graph(self._chain())
-        assert graph_to_json(g) == graph_to_json(build_graph(self._chain()))
+        assert graph_json(g) == graph_json(build_graph(self._chain()))
+
+
+def graph_json(g):
+    """What ``graph_to_json`` writes to a text file."""
+    buf = io.StringIO()
+    graph_to_json(g, buf)
+    return buf.getvalue()
 
 
 def stdlib_graph_json(g):
@@ -173,12 +181,12 @@ class TestGraphJson:
     @settings(max_examples=300, deadline=None)
     @given(graph_st())
     def test_matches_stdlib_encoder(self, g):
-        assert graph_to_json(g) == stdlib_graph_json(g)
+        assert graph_json(g) == stdlib_graph_json(g)
 
     def test_empty_graph(self):
         g = AssociationGraph(nodes=(), edges=(), groups=())
-        assert graph_to_json(g) == stdlib_graph_json(g)
-        assert graph_to_json(g) == '{\n  "edges": [],\n  "groups": [],\n  "nodes": []\n}\n'
+        assert graph_json(g) == stdlib_graph_json(g)
+        assert graph_json(g) == '{\n  "edges": [],\n  "groups": [],\n  "nodes": []\n}\n'
 
     def test_every_rule_subset(self):
         assert len(RULE_SETS) == 15
@@ -187,7 +195,7 @@ class TestGraphJson:
             nodes=nodes,
             edges=tuple((nodes[0], nodes[i + 1], rules) for i, rules in enumerate(RULE_SETS)),
             groups=(nodes,))
-        assert graph_to_json(g) == stdlib_graph_json(g)
+        assert graph_json(g) == stdlib_graph_json(g)
 
 
 def all_pairs_edges(samples):
@@ -461,6 +469,71 @@ def test_oracle_equivalence_random_corpora():
         for i_max in (1, 2):
             assert got == bfs_oracle_edges(names, true_edges, i_max), \
                 f"trial={trial} i_max={i_max}"
+
+
+def test_long_chain_is_one_group():
+    # consecutive samples of a shuffled chain share one resolved IP and no
+    # other, so the union-find sees links in an order unrelated to the ids
+    names = [f"c{i:04d}" for i in range(5000)]
+    chain = names[:]
+    random.Random(3001).shuffle(chain)
+    ips = {name: set() for name in names}
+    for k, (a, b) in enumerate(zip(chain, chain[1:])):
+        ips[a].add(f"ip-{k}")
+        ips[b].add(f"ip-{k}")
+    g = build_graph([make_sample(name, resolved_ips=ips[name]) for name in chain])
+    links = [tuple(sorted(pair)) for pair in zip(chain, chain[1:])]
+    assert [(a, b) for a, b, _ in g.edges] == sorted(links)
+    assert g.groups == brute_components(names, links) == (tuple(names),)
+
+
+def test_equal_size_groups_come_in_first_id_order():
+    # three pairs and a triple linked by shared IPs, given in an order that
+    # is neither first-id nor last-id order, and two singletons
+    ips = {"b": "1", "y": "1", "a": "2", "z": "2", "c": "3", "d": "3",
+           "x": "4", "n": "4", "m": "4"}
+    samples = [make_sample(sid, resolved_ips={ip}) for sid, ip in ips.items()]
+    samples += [make_sample("e"), make_sample("0")]
+    g = build_graph(samples)
+    assert g.groups == (("m", "n", "x"), ("a", "z"), ("b", "y"), ("c", "d"), ("0",), ("e",))
+    assert g.groups == brute_components(g.nodes, [(a, b) for a, b, _ in g.edges])
+
+
+class SpyFile:
+    """A text file stand-in that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+def laid_out(obj, depth):
+    """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` lays it out
+    ``depth`` levels deep in a document."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def test_graph_json_is_written_in_pieces():
+    rng = random.Random(3002)
+    graphs = [build_graph(random_corpus(rng, rng.randint(2, 12))[0]) for _ in range(40)]
+    graphs.append(AssociationGraph(nodes=(), edges=(), groups=()))
+    frame = ',\n  "groups": '  # the longest piece of the fixed frame
+    for g in graphs:
+        spy = SpyFile()
+        graph_to_json(g, spy)
+        doc = stdlib_graph_json(g)
+        assert "".join(spy.writes) == doc
+        # each write is at most one edge record or group array with the
+        # separator before it, or a piece of the frame: no write holds the
+        # document or a whole array of records
+        records = [laid_out({"a": a, "b": b, "rules": list(rules)}, 2) for a, b, rules in g.edges]
+        records += [laid_out(list(c), 2) for c in g.groups]
+        bound = max(map(len, records), default=0) + len(frame)
+        assert max(map(len, spy.writes)) <= bound
+        assert len(doc) > bound or not g.nodes
 
 
 class TestGroupStats:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests over fixture inputs."""
 
 import argparse
+import errno
 import gc
 import json
 import multiprocessing
@@ -98,6 +99,23 @@ def test_assoc_output_into_missing_directory(tmp_path):
     assert main(["assoc", str(features), "--output", str(out)]) == 0
     for suffix in (".graph.json", ".csv", ".json"):
         assert (tmp_path / "new" / "sub" / ("a" + suffix)).exists()
+
+
+def test_assoc_unwritable_graph_file_is_an_input_error(tmp_path, capsys):
+    # the output base lies below a regular file, so no directory can be
+    # made for the graph file, the first one written
+    features = tmp_path / "features.jsonl"
+    features.write_text(json.dumps(
+        {"sample_id": "s1", "signature": None, "urls": [], "domains": [],
+         "ip_literals": [], "resolved_ips": [], "fingerprints": [],
+         "label": None}) + "\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "a"
+    assert main(["assoc", str(features), "--output", str(out)]) == 1
+    exists = f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(blocker)!r}"
+    assert capsys.readouterr().err == f"error: cannot write {out}.graph.json: {exists}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.jsonl", "file"]
 
 
 def test_assoc_duplicate_ids_are_an_input_error(tmp_path, capsys):
