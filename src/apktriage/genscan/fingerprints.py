@@ -10,6 +10,7 @@ extend or override it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from apktriage.apkcore.artifact import ApkArtifact
@@ -27,18 +28,6 @@ _RULE_KINDS = {RULE_MAIN_ACTIVITY, RULE_PACKAGE_PREFIX, RULE_ASSET_PATH, RULE_NA
 class EvidenceRule:
     kind: str
     value: str
-
-    def fires(self, apk: ApkArtifact) -> bool:
-        if self.kind == RULE_MAIN_ACTIVITY:
-            return apk.manifest is not None and apk.manifest.main_activity == self.value
-        if self.kind == RULE_PACKAGE_PREFIX:
-            return apk.package_name.startswith(self.value)
-        if self.kind == RULE_ASSET_PATH:
-            return any(e.path.startswith(self.value) for e in apk.entries)
-        if self.kind == RULE_NATIVE_LIB:
-            return any(e.path.startswith("lib/") and e.path.endswith("/" + self.value)
-                       for e in apk.entries)
-        return False
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,31 @@ def detect_generator(apk: ApkArtifact, db: list[GeneratorFingerprint]) -> Genera
     """Best-confidence generator match, or None when no rule fires.
 
     Deterministic regardless of database order: confidence desc, then
-    generator_id ascending.
+    generator_id ascending. Every rule is decided from one index of the
+    APK's entry paths, built once per call: the sorted paths, in which
+    the paths that start with an ``asset_path`` value form a run that
+    begins where the value would be inserted, and the ``lib/`` paths.
     """
+    paths = sorted(e.path for e in apk.entries)
+    lib_paths = [p for p in paths if p.startswith("lib/")]
+    main_activity = apk.manifest.main_activity if apk.manifest is not None else None
+
+    def fires(rule: EvidenceRule) -> bool:
+        kind, value = rule.kind, rule.value
+        if kind == RULE_MAIN_ACTIVITY:
+            return main_activity == value
+        if kind == RULE_PACKAGE_PREFIX:
+            return apk.package_name.startswith(value)
+        if kind == RULE_ASSET_PATH:
+            i = bisect_left(paths, value)
+            return i < len(paths) and paths[i].startswith(value)
+        if kind == RULE_NATIVE_LIB:
+            return any(p.endswith("/" + value) for p in lib_paths)
+        return False
+
     candidates = []
     for fp in db:
-        matched = sum(r.fires(apk) for r in fp.evidence_rules)
+        matched = sum(map(fires, fp.evidence_rules))
         if matched:
             candidates.append(GeneratorMatch(fp, matched / len(fp.evidence_rules)))
     return min(candidates, key=lambda m: (-m.confidence, m.generator_id), default=None)

@@ -9,7 +9,7 @@ import lazily; WHOIS records come only from a script.
 from __future__ import annotations
 
 from datetime import datetime
-from itertools import chain
+from itertools import chain, repeat
 from typing import Protocol
 
 from apktriage.infrawatch.timeline import WhoisRecord
@@ -49,16 +49,15 @@ class _Scripted:
                 for seq in script.values()):
             raise ValueError(f"the {self.backend} script must map each domain to a list "
                              f'of null, "gap" or {self.answer_kind}')
-        self.script = script
-        self._tick: dict[str, int] = {}
+        # each domain's values, one per call, then the final one forever
+        self._answers = {domain: chain(seq, repeat(seq[-1]))
+                         for domain, seq in script.items() if seq}
 
     def _next(self, domain):
-        seq = self.script.get(domain)
-        if not seq:
+        answers = self._answers.get(domain)
+        if answers is None:
             return None
-        i = self._tick.get(domain, 0)
-        self._tick[domain] = i + 1
-        value = seq[min(i, len(seq) - 1)]
+        value = next(answers)
         if value == "gap":
             raise BackendUnavailable(f"{self.backend} outage for {domain}")
         return value

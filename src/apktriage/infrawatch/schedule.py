@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -11,6 +12,7 @@ from apktriage.infrawatch.timeline import (
     Probe,
     Resolution,
     TimelineStore,
+    _ts,
 )
 
 # a probe is Alive iff DNS resolves and the HTTP status is below this
@@ -37,39 +39,46 @@ def ticks(window: Window, cadence: timedelta):
         yield t
 
 
-def monitor_tick(t: DomainTimeline, ts: datetime, resolver: Resolver, prober: Prober,
-                 store: TimelineStore) -> None:
-    """Run one inspection and append it to ``store`` once it is decided:
-    a resolution and a probe, a resolution and a gap on a prober outage,
-    or a gap alone on a resolver outage; an outage is never dropped. Any
-    other exception from a backend appends nothing of the tick, so the
-    store never holds half a tick."""
+def monitor_tick(t: DomainTimeline, ts: datetime, stamp: str, resolver: Resolver,
+                 prober: Prober, store: TimelineStore) -> None:
+    """Run one inspection at ``ts``, which the store writes as ``stamp``,
+    and append it to ``t`` and ``store`` once it is decided: a resolution
+    and a probe, a resolution and a gap on a prober outage, or a gap alone
+    on a resolver outage; an outage is never dropped. Any other exception
+    from a backend appends nothing of the tick, so the store never holds
+    half a tick. ``ts`` must come after every tick of ``t``: the records
+    go onto its lists without the checks of ``add_resolution`` and
+    ``add_probe``, which such a tick always passes."""
+    domain = t.domain
     try:
-        ips = resolver.resolve(t.domain, ts)
+        ips = resolver.resolve(domain, ts)
     except BackendUnavailable as e:
-        t.gaps.append((ts, str(e)))
-        store.append_gap(t.domain, ts, str(e))
+        gap = str(e)
+        t.gaps.append((ts, gap))
+        store.append(domain, {"ts": stamp, "kind": "gap", "payload": gap})
         return
-    resolution = Resolution(ts=ts, ips=ips)
+    gap = None
     try:
         if not ips:
-            probe = Probe(ts=ts, alive=False, detail="nxdomain")
-        elif (status := prober.probe(t.domain, ts)) is None:
-            probe = Probe(ts=ts, alive=False, detail="unreachable")
+            alive, detail = False, "nxdomain"
+        elif (status := prober.probe(domain, ts)) is None:
+            alive, detail = False, "unreachable"
         else:
-            probe = Probe(ts=ts, alive=status < DEAD_STATUS, detail=f"{status // 100}xx")
+            alive, detail = status < DEAD_STATUS, f"{status // 100}xx"
     except BackendUnavailable as e:
-        probe, gap = None, str(e)
-    t.add_resolution(resolution)
-    if probe is None:
+        gap = str(e)
+    t.resolutions.append(Resolution(ts, ips))
+    if ips is not None and t._first_resolved is None:
+        t._first_resolved = ts
+    store.append(domain, {"ts": stamp, "kind": "resolution",
+                          "payload": None if ips is None else sorted(ips)})
+    if gap is None:
+        t.probes.append(Probe(ts, alive, detail))
+        store.append(domain, {"ts": stamp, "kind": "probe",
+                              "payload": {"alive": alive, "detail": detail}})
+    else:
         t.gaps.append((ts, gap))
-    else:
-        t.add_probe(probe)
-    store.append_resolution(t.domain, resolution)
-    if probe is None:
-        store.append_gap(t.domain, ts, gap)
-    else:
-        store.append_probe(t.domain, probe)
+        store.append(domain, {"ts": stamp, "kind": "gap", "payload": gap})
 
 
 def schedule(domains, window: Window, cadence: timedelta,
@@ -78,7 +87,8 @@ def schedule(domains, window: Window, cadence: timedelta,
     """Monitor every domain across the window, resuming from the timelines
     persisted in ``store``: already-covered ticks are skipped.
     Ticks run as UTC whole seconds, the form the store keeps, so the
-    returned timelines equal what the store loads back. A whois record is
+    returned timelines equal what the store loads back; each tick's
+    stamp is formatted once per call. A whois record is
     stamped with the domain's first pending tick (the window's last tick
     when none is pending), so a resumed store matches an uninterrupted one
     byte for byte. Every domain is loaded, and its name checked, before the
@@ -88,18 +98,20 @@ def schedule(domains, window: Window, cadence: timedelta,
     again."""
     tick_list = [t.astimezone(timezone.utc).replace(microsecond=0)
                  for t in ticks(window, cadence)]
+    stamps = [_ts(tick) for tick in tick_list]
     timelines = {d: store.load(d) for d in sorted(set(domains))}
     try:
         for domain, t in timelines.items():
             last = t.last_tick()
-            pending = [tick for tick in tick_list if last is None or tick > last]
+            # the ticks are strictly increasing: the pending ones are a suffix
+            first = 0 if last is None else bisect_right(tick_list, last)
             if whois is not None and t.whois is None:
                 rec = whois.lookup(domain)
                 if rec is not None:
                     t.whois = rec
-                    store.set_whois(domain, pending[0] if pending else tick_list[-1], rec)
-            for tick in pending:
-                monitor_tick(t, tick, resolver, prober, store)
+                    store.set_whois(domain, tick_list[min(first, len(tick_list) - 1)], rec)
+            for tick, stamp in zip(tick_list[first:], stamps[first:]):
+                monitor_tick(t, tick, stamp, resolver, prober, store)
     finally:
         store.close()
     return timelines

@@ -10,9 +10,18 @@ write torn by a crash), and the first write to a file in a run cuts
 such a tail off before writing. A line that does end in a newline must
 hold one of the four record shapes (resolution, probe, gap, whois) with
 values of the types the store writes; any other raises ValueError naming
-the file and the line number. ``load`` takes a resolution or probe line
-in the exact shape the store writes without decoding it as JSON; every
-other line, and every error, goes through the checked path.
+the file and the line number. ``load`` walks the file text with one
+anchored regular expression that matches a line of any of the four
+kinds in the exact shape the store writes, and adds such a line without
+decoding it as JSON; every other line, and every error, goes through the
+checked path, with the same line numbers and error text.
+
+``schedule`` formats each tick's time once per call, not once per line,
+and appends each tick's records to the timeline's lists without the
+checks of ``add_resolution`` and ``add_probe``. They could not fail
+there: its pending ticks are strictly increasing and all come after
+``last_tick()``, and an alive probe comes with its tick's resolution of
+addresses. ``load`` keeps the checks, as a file may hold anything.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
@@ -91,14 +101,8 @@ class DomainTimeline:
 
 
 def _ts(dt: datetime) -> str:
-    # memoized on the UTC instant, never on ``dt``: aware datetimes that share a
-    # zoneinfo tzinfo compare and hash equal at fold 0 and fold 1
-    return _utc_ts(dt.astimezone(timezone.utc))
-
-
-@lru_cache(maxsize=4096)
-def _utc_ts(dt: datetime) -> str:
-    return dt.replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+    """``dt`` as the store writes it: its UTC instant in whole seconds."""
+    return dt.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
 
 
 _TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
@@ -113,29 +117,21 @@ def _parse_ts(s: str) -> datetime:
     return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
 
 
-# A resolution or probe line exactly as ``_line`` writes it. A string in
-# it must be one that ``_quote`` writes unchanged: printable ASCII but
-# ``"`` and ``\``.
+# A line of any of the four kinds exactly as ``_line`` writes it, newline
+# included. A string in it must be one that ``_quote`` writes unchanged:
+# printable ASCII but ``"`` and ``\``. Each kind's time is the group named
+# after it, the last group that kind matches, so ``lastgroup`` names the kind.
 _PLAIN = r'[ !#-\[\]-~]*'
-_FAST_LINE = re.compile(
-    r'\{"kind":"(?:resolution","payload":(null|\[\]|\["(%s(?:","%s)*)"\])'
-    r'|probe","payload":\{"alive":(true|false),"detail":"(%s)"\}),"ts":"(%s)"\}'
-    % ((_PLAIN,) * 4))
-
-
-def _fast_record(line: str) -> Resolution | Probe | None:
-    """The record of a line of ``_FAST_LINE``, None for any other line; a
-    time that does not parse raises ValueError."""
-    m = _FAST_LINE.fullmatch(line)
-    if m is None:
-        return None
-    payload, ips, alive, detail, ts = m.groups()
-    ts = _parse_ts(ts)
-    if alive is not None:
-        return Probe(ts, alive == "true", detail)
-    if payload == "null":
-        return Resolution(ts, None)
-    return Resolution(ts, frozenset(() if ips is None else ips.split('","')))
+_STORE_LINE = re.compile(
+    r'\{"kind":"(?:'
+    r'resolution","payload":(?P<ips>null|\[(?:"%(s)s(?:","%(s)s)*")?\]),'
+    r'"ts":"(?P<resolution>%(s)s)"'
+    r'|probe","payload":\{"alive":(?P<alive>true|false),"detail":"(?P<detail>%(s)s)"\},'
+    r'"ts":"(?P<probe>%(s)s)"'
+    r'|gap","payload":"(?P<reason>%(s)s)","ts":"(?P<gap>%(s)s)"'
+    r'|whois","payload":\{"country":"(?P<country>%(s)s)","created":"(?P<created>%(s)s)",'
+    r'"registrant":"(?P<registrant>%(s)s)"\},"ts":"(?P<whois>%(s)s)"'
+    r')\}\n' % {"s": _PLAIN})
 
 
 _RECORD_KEYS = {"kind", "payload", "ts"}
@@ -146,22 +142,86 @@ _KINDS = ("resolution", "probe", "gap", "whois")
 
 def _line(record: dict) -> str:
     """The store line of ``record``: ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))`` and a newline, written from the fixed shape of
-    its kind."""
-    kind, p = record["kind"], record["payload"]
+    separators=(",", ":"))`` and a newline, written from the fixed template
+    of its kind."""
+    kind, p, ts = record["kind"], record["payload"], _quote(record["ts"])
     if kind == "resolution":
-        payload = "null" if p is None else "[" + ",".join(map(_quote, p)) + "]"
-    elif kind == "probe":
-        payload = '{"alive":%s,"detail":%s}' % ("true" if p["alive"] else "false",
-                                                 _quote(p["detail"]))
-    elif kind == "gap":
-        payload = _quote(p)
-    elif kind == "whois":
-        payload = '{"country":%s,"created":%s,"registrant":%s}' % (
-            _quote(p["country"]), _quote(p["created"]), _quote(p["registrant"]))
+        if p is None:
+            return '{"kind":"resolution","payload":null,"ts":%s}\n' % ts
+        return '{"kind":"resolution","payload":[%s],"ts":%s}\n' % (",".join(map(_quote, p)), ts)
+    if kind == "probe":
+        return '{"kind":"probe","payload":{"alive":%s,"detail":%s},"ts":%s}\n' % (
+            "true" if p["alive"] else "false", _quote(p["detail"]), ts)
+    if kind == "gap":
+        return '{"kind":"gap","payload":%s,"ts":%s}\n' % (_quote(p), ts)
+    if kind == "whois":
+        return ('{"kind":"whois","payload":{"country":%s,"created":%s,"registrant":%s},'
+                '"ts":%s}\n' % (_quote(p["country"]), _quote(p["created"]),
+                                _quote(p["registrant"]), ts))
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
+def _add_checked(t: DomainTimeline, rec) -> None:
+    """Add the decoded record ``rec`` to ``t``; any other shape, or a value
+    of another type than the store writes, raises ValueError."""
+    if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
+        raise ValueError("a record is an object of exactly kind, payload and ts")
+    kind, p, ts = rec["kind"], rec["payload"], rec["ts"]
+    if type(ts) is not str:
+        raise ValueError(f"bad store timestamp {ts!r}")
+    ts = _parse_ts(ts)
+    if kind == "resolution" and (p is None or type(p) is list
+                                 and all(type(ip) is str for ip in p)):
+        t.add_resolution(Resolution(ts, None if p is None else frozenset(p)))
+    elif (kind == "probe" and type(p) is dict and p.keys() == _PROBE_KEYS
+          and type(p["alive"]) is bool and type(p["detail"]) is str):
+        t.add_probe(Probe(ts, p["alive"], p["detail"]))
+    elif kind == "gap" and type(p) is str:
+        t.gaps.append((ts, p))
+    elif (kind == "whois" and type(p) is dict and p.keys() == _WHOIS_KEYS
+          and all(type(v) is str for v in p.values())):
+        t.whois = WhoisRecord(p["registrant"], p["country"], p["created"])
+    elif kind in _KINDS:
+        raise ValueError(f"bad {kind} payload {p!r}")
     else:
         raise ValueError(f"unknown record kind {kind!r}")
-    return '{"kind":"%s","payload":%s,"ts":%s}\n' % (kind, payload, _quote(record["ts"]))
+
+
+def _add_fast(t: DomainTimeline, text: str, pos: int, end: int) -> int:
+    """Add to ``t`` each line of ``_STORE_LINE`` from ``pos`` in ``text``
+    on, up to ``end``; return where the first other line, or the first
+    whose values ``t`` does not take, starts (``end`` after the last)."""
+    match = _STORE_LINE.match
+    while pos < end and (m := match(text, pos)) is not None:
+        kind = m.lastgroup
+        try:
+            ts = _parse_ts(m[kind])
+            if kind == "resolution":
+                ips = m["ips"]
+                t.add_resolution(Resolution(ts, None if ips == "null" else frozenset(
+                    ips[2:-2].split('","') if ips != "[]" else ())))
+            elif kind == "probe":
+                t.add_probe(Probe(ts, m["alive"] == "true", m["detail"]))
+            elif kind == "gap":
+                t.gaps.append((ts, m["reason"]))
+            else:
+                t.whois = WhoisRecord(m["registrant"], m["country"], m["created"])
+        except ValueError:  # decided again, and worded, by _add_checked
+            break
+        pos = m.end()
+    return pos
+
+
+def _checked_lines(t: DomainTimeline, text: str, pos: int, end: int):
+    """The lines of ``text`` from ``pos`` to ``end`` for the checked path,
+    ``pos`` starting a line that ``_add_fast`` did not take: each such
+    line as it is, to be decided again, and each line that ``_add_fast``
+    does take, once added to ``t``, as a blank that keeps the numbering."""
+    while pos < end:
+        nl = text.index("\n", pos)
+        yield text[pos:nl]
+        pos = _add_fast(t, text, nl + 1, end)
+        yield from repeat("", text.count("\n", nl + 1, pos))
 
 
 class TimelineStore:
@@ -219,17 +279,6 @@ class TimelineStore:
             with self._open(domain) as f:
                 f.write("".join(lines).encode("ascii"))
 
-    def append_resolution(self, domain: str, r: Resolution) -> None:
-        self.append(domain, {"ts": _ts(r.ts), "kind": "resolution",
-                             "payload": None if r.ips is None else sorted(r.ips)})
-
-    def append_probe(self, domain: str, p: Probe) -> None:
-        self.append(domain, {"ts": _ts(p.ts), "kind": "probe",
-                             "payload": {"alive": p.alive, "detail": p.detail}})
-
-    def append_gap(self, domain: str, ts: datetime, reason: str) -> None:
-        self.append(domain, {"ts": _ts(ts), "kind": "gap", "payload": reason})
-
     def set_whois(self, domain: str, ts: datetime, w: WhoisRecord) -> None:
         self.append(domain, {"ts": _ts(ts), "kind": "whois",
                              "payload": {"registrant": w.registrant,
@@ -240,47 +289,15 @@ class TimelineStore:
         path = self.path(domain)
         if not path.exists():
             return t
-
-        def add(rec) -> None:
-            if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
-                raise ValueError("a record is an object of exactly kind, payload and ts")
-            kind, p, ts = rec["kind"], rec["payload"], rec["ts"]
-            if type(ts) is not str:
-                raise ValueError(f"bad store timestamp {ts!r}")
-            ts = _parse_ts(ts)
-            if kind == "resolution" and (p is None or type(p) is list
-                                         and all(type(ip) is str for ip in p)):
-                t.add_resolution(Resolution(ts, None if p is None else frozenset(p)))
-            elif (kind == "probe" and type(p) is dict and p.keys() == _PROBE_KEYS
-                  and type(p["alive"]) is bool and type(p["detail"]) is str):
-                t.add_probe(Probe(ts, p["alive"], p["detail"]))
-            elif kind == "gap" and type(p) is str:
-                t.gaps.append((ts, p))
-            elif (kind == "whois" and type(p) is dict and p.keys() == _WHOIS_KEYS
-                  and all(type(v) is str for v in p.values())):
-                t.whois = WhoisRecord(p["registrant"], p["country"], p["created"])
-            elif kind in _KINDS:
-                raise ValueError(f"bad {kind} payload {p!r}")
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-
-        def fast(lines):
-            """``lines``, with each line of ``_FAST_LINE`` added here and
-            handed on blank; ``add`` decides again, and words, any error."""
-            for line in lines:
-                try:
-                    rec = _fast_record(line)
-                    if rec is not None:
-                        (t.add_probe if type(rec) is Probe else t.add_resolution)(rec)
-                        line = ""
-                except ValueError:  # decided again, and worded, by add
-                    pass
-                yield line
-
         with open(path, encoding="utf-8", newline="") as f:
-            lines = f.read().split("\n")
-        del lines[-1]  # "" or unterminated
-        json_lines(path, fast(lines), add)
+            text = f.read()
+        # an unterminated final line is dropped: it was torn by a crash
+        end = text.rfind("\n") + 1
+        pos = _add_fast(t, text, 0, end)
+        if pos < end:
+            json_lines(path, chain(repeat("", text.count("\n", 0, pos)),
+                                   _checked_lines(t, text, pos, end)),
+                       partial(_add_checked, t))
         return t
 
     def domains(self) -> list[str]:

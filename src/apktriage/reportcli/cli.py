@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
 
 EXIT_OK = 0
@@ -176,6 +177,7 @@ def cmd_scan(args) -> int:
     from apktriage.extract.psl import load_suffix_list
     from apktriage.extract.urls import load_whitelist
     from apktriage.genscan.fingerprints import load_fingerprints
+    from apktriage.reportcli.emit import open_output
 
     global _refs
     refs = (load_fingerprints(args.fingerprint_db),
@@ -184,23 +186,19 @@ def cmd_scan(args) -> int:
             load_whitelist(args.whitelist) if args.whitelist else frozenset(),
             load_known_signatures())
 
-    if args.output:
-        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     failed = 0
     _refs = refs
     results = _in_tasks(_scan_task, _iter_apks(args.input), _CHUNK)
     try:
-        for line, error in results:
-            if error is not None:
-                failed += 1
-                print(error, file=sys.stderr)
-            out.write(line)
+        with open_output(args.output) if args.output else nullcontext(sys.stdout) as out:
+            for line, error in results:
+                if error is not None:
+                    failed += 1
+                    print(error, file=sys.stderr)
+                out.write(line)
     finally:
         results.close()
         _refs = None
-        if out is not sys.stdout:
-            out.close()
     return EXIT_INPUT if failed else EXIT_OK
 
 

@@ -225,6 +225,19 @@ def test_scan_output_into_missing_directory(tmp_path):
     assert json.loads(out.read_text())["package"] == "com.a"
 
 
+def test_scan_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # the output lies below a regular file, so no directory can be made for it
+    apk = tmp_path / "sample.apk"
+    apk.write_bytes(build_apk(package="com.a"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "scan.jsonl"
+    assert main(["scan", str(apk), "--output", str(out)]) == 1
+    exists = f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(blocker)!r}"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {exists}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sample.apk"]
+
+
 def test_payclass_output_into_missing_directory(tmp_path):
     obs = tmp_path / "obs.jsonl"
     obs.write_text(json.dumps(
@@ -1104,7 +1117,7 @@ VERB_MODULES = {
              "apkcore.errors", "apkcore.manifest", "apkcore.permissions", "apkcore.zipread",
              "data", "extract", "extract.paradigm", "extract.psl", "extract.urls",
              "genscan", "genscan.ciphers", "genscan.content", "genscan.fingerprints",
-             "util"],
+             "reportcli.emit", "util"],
     "assoc": ["apkcore", "apkcore.certs", "apkcore.errors",
               "assoc", "assoc.features", "assoc.graph", "assoc.rules", "assoc.stats",
               "reportcli.emit", "reportcli.taxonomy", "util"],

@@ -2,14 +2,28 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apktriage.apkcore.artifact import ApkArtifact, open_apk
 from apktriage.apkcore.certs import load_known_signatures
 from apktriage.genscan.ciphers import CipherError, KeyUnavailable, rc4
 from apktriage.genscan.content import decrypt_assets, looks_plaintext
-from apktriage.genscan.fingerprints import detect_generator, load_fingerprints
+from apktriage.genscan.fingerprints import (
+    RULE_ASSET_PATH,
+    RULE_MAIN_ACTIVITY,
+    RULE_NATIVE_LIB,
+    RULE_PACKAGE_PREFIX,
+    CipherScheme,
+    EvidenceRule,
+    GeneratorFingerprint,
+    GeneratorMatch,
+    detect_generator,
+    load_fingerprints,
+)
 
 from apk_builder import build_apk
 
@@ -69,6 +83,51 @@ def test_appcan_full_confidence():
 def test_no_generator_returns_none():
     apk = open_apk(build_apk(package="plain.native.app"), KNOWN)
     assert detect_generator(apk, DB) is None
+
+
+def oracle_fires(rule, apk) -> bool:
+    """Whether ``rule`` fires for ``apk``, by a scan of every entry."""
+    if rule.kind == RULE_MAIN_ACTIVITY:
+        return apk.manifest is not None and apk.manifest.main_activity == rule.value
+    if rule.kind == RULE_PACKAGE_PREFIX:
+        return apk.package_name.startswith(rule.value)
+    if rule.kind == RULE_ASSET_PATH:
+        return any(e.path.startswith(rule.value) for e in apk.entries)
+    if rule.kind == RULE_NATIVE_LIB:
+        return any(e.path.startswith("lib/") and e.path.endswith("/" + rule.value)
+                   for e in apk.entries)
+    return False
+
+
+def oracle_detect(apk, db):
+    candidates = [GeneratorMatch(fp, n / len(fp.evidence_rules)) for fp in db
+                  if (n := sum(oracle_fires(r, apk) for r in fp.evidence_rules))]
+    return min(candidates, key=lambda m: (-m.confidence, m.generator_id), default=None)
+
+
+# short strings over the characters that matter: a path separator, and
+# letters that make "lib", "assets" and shared prefixes likely
+PATH_TEXT = st.text(st.sampled_from("/abils."), max_size=6)
+PATHS = st.one_of(PATH_TEXT, st.builds(lambda d, p: d + p,
+                                       st.sampled_from(["lib/", "lib/a/", "assets/", "a/lib/"]),
+                                       PATH_TEXT))
+RULES = st.builds(EvidenceRule, st.sampled_from(
+    [RULE_MAIN_ACTIVITY, RULE_PACKAGE_PREFIX, RULE_ASSET_PATH, RULE_NATIVE_LIB, "other"]),
+    st.one_of(PATHS, st.sampled_from(["lib/", "libs.so", "a/libs.so", "s"])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(PATHS, max_size=8),
+       st.lists(st.lists(RULES, min_size=1, max_size=3), max_size=5),
+       st.one_of(st.none(), st.builds(SimpleNamespace, main_activity=st.one_of(st.none(),
+                                                                                  PATH_TEXT))),
+       PATH_TEXT)
+def test_detect_generator_matches_the_per_rule_scan(paths, rule_sets, manifest, package):
+    apk = SimpleNamespace(entries=tuple(SimpleNamespace(path=p) for p in paths),
+                          manifest=manifest, package_name=package)
+    db = [GeneratorFingerprint(f"g{i}", tuple(rules), CipherScheme(None, None))
+          for i, rules in enumerate(rule_sets)]
+    assert detect_generator(apk, db) == oracle_detect(apk, db)
 
 
 def test_detection_deterministic_under_db_order():

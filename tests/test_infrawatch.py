@@ -38,6 +38,7 @@ from apktriage.infrawatch.lifespan import (
     lifespan,
 )
 from apktriage.infrawatch.registrants import registrant_stats
+from apktriage import util
 from apktriage.infrawatch import timeline
 from apktriage.infrawatch.schedule import Window, schedule, ticks
 from apktriage.infrawatch.timeline import (
@@ -58,6 +59,11 @@ def utc(*args):
 
 CST = timezone(timedelta(hours=8))
 STORE_FMT = "%Y-%m-%dT%H:%M:%SZ"
+
+
+def record(kind, ts, payload):
+    """A store record of ``kind`` at the time ``ts``."""
+    return {"ts": _ts(ts), "kind": kind, "payload": payload}
 
 
 def simple_timeline(domain, specs):
@@ -89,10 +95,10 @@ class TestTimeline:
         t = DomainTimeline(domain="x.com")
         r = Resolution(utc(2021, 1, 1), frozenset({"1.1.1.1", "2.2.2.2"}))
         t.add_resolution(r)
-        store.append_resolution("x.com", r)
+        store.append("x.com", record("resolution", r.ts, sorted(r.ips)))
         p = Probe(utc(2021, 1, 1, 0, 1), True, "2xx")
         t.add_probe(p)
-        store.append_probe("x.com", p)
+        store.append("x.com", record("probe", p.ts, {"alive": True, "detail": "2xx"}))
         store.set_whois("x.com", utc(2021, 1, 1), WhoisRecord("reg", "China", "2020-01-01"))
         store.close()
         loaded = store.load("x.com")
@@ -206,14 +212,14 @@ class TestStoreFiles:
         with pytest.raises(ValueError):
             store.load(name)
         with pytest.raises(ValueError):
-            store.append_gap(name, utc(2021, 1, 1), "r")
+            store.append(name, record("gap", utc(2021, 1, 1), "r"))
         assert list(tmp_path.iterdir()) == []
 
     def test_names_round_trip(self, tmp_path):
         store = TimelineStore(tmp_path)
         names = ["a_b.com", "a.com.jsonl", ".hidden", "x y", "\u4f8b\u3048.jp"]
         for name in names:
-            store.append_gap(name, utc(2021, 1, 1), name)
+            store.append(name, record("gap", utc(2021, 1, 1), name))
         store.close()
         assert store.domains() == sorted(names)
         assert [store.load(n).gaps[0][1] for n in names] == names
@@ -236,11 +242,11 @@ class TestStoreFiles:
         a, b = tmp_path / "a.com.jsonl", tmp_path / "b.com.jsonl"
         a.write_text(GAP_LINE % ("old", 1))  # from an earlier run
         store = TimelineStore(tmp_path)
-        store.append_gap("a.com", utc(2021, 1, 2), "r")
-        store.append_gap("a.com", utc(2021, 1, 3), "s")
+        store.append("a.com", record("gap", utc(2021, 1, 2), "r"))
+        store.append("a.com", record("gap", utc(2021, 1, 3), "s"))
         # queued: the file holds none of them before the store moves on
         assert a.read_text() == GAP_LINE % ("old", 1)
-        store.append_gap("b.com", utc(2021, 1, 2), "t")
+        store.append("b.com", record("gap", utc(2021, 1, 2), "t"))
         assert a.read_text() == GAP_LINE % ("old", 1) + GAP_LINE % ("r", 2) + GAP_LINE % ("s", 3)
         assert not b.exists()
         store.close()
@@ -260,7 +266,7 @@ class TestStoreFiles:
         path = tmp_path / "x.com.jsonl"
         path.write_text(head + tail)
         assert store.load("x.com").gaps == ([(utc(2021, 1, 1), "r")] if head else [])
-        store.append_gap("x.com", utc(2021, 1, 2), "s")
+        store.append("x.com", record("gap", utc(2021, 1, 2), "s"))
         store.close()
         assert path.read_text() == head + GAP_LINE % ("s", 2)
 
@@ -331,27 +337,26 @@ class TestStoreLines:
             for day, (kind, value) in enumerate(events):
                 ts = utc(2021, 1, 1) + timedelta(days=day)
                 if kind == "resolution":
-                    store.append_resolution(
-                        "x.com", Resolution(ts, None if value is None else frozenset(value)))
                     payload = None if value is None else sorted(value)
                     want.add_resolution(
                         Resolution(ts, None if value is None else frozenset(map(rt, value))))
                 elif kind == "probe":
                     # an alive probe needs an earlier resolution with addresses
                     alive, detail = value[0] and want._first_resolved is not None, value[1]
-                    store.append_probe("x.com", Probe(ts, alive, detail))
                     payload = {"alive": alive, "detail": detail}
                     want.add_probe(Probe(ts, alive, rt(detail)))
                 elif kind == "gap":
-                    store.append_gap("x.com", ts, value)
                     payload = value
                     want.gaps.append((ts, rt(value)))
                 else:
-                    store.set_whois("x.com", ts, WhoisRecord(*value))
                     payload = dict(zip(("registrant", "country", "created"), value))
                     want.whois = WhoisRecord(*map(rt, value))
-                record = {"ts": ts.strftime(STORE_FMT), "kind": kind, "payload": payload}
-                lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                if kind == "whois":
+                    store.set_whois("x.com", ts, WhoisRecord(*value))
+                else:
+                    store.append("x.com", record(kind, ts, payload))
+                rec = {"ts": ts.strftime(STORE_FMT), "kind": kind, "payload": payload}
+                lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
             store.close()
             path = Path(root) / "x.com.jsonl"
             assert (path.read_text(encoding="ascii") if events else "") == "".join(lines)
@@ -476,39 +481,97 @@ class TestStoreFastPath:
             assert got.startswith(f"{root / 'x.com.jsonl'}, line {bad_line}: "), got
 
     def test_fast_lines_are_the_store_lines(self):
-        # what _line writes for each resolution and probe of plain strings
+        # what _line writes for each record of plain strings, of any kind,
         # is a fast line; a line the store would not write is not
         def fast(line):
-            try:
-                rec = timeline._fast_record(line)
-            except ValueError:
-                return None
-            return rec and (type(rec), rec)
+            t, text = DomainTimeline("x.com"), line + "\n"
+            return t if timeline._add_fast(t, text, 0, len(text)) == len(text) else None
 
-        ts = "2021-01-01T00:00:00Z"
+        ts, day = "2021-01-01T00:00:00Z", utc(2021, 1, 1)
         for ips in (None, [], [""], ["1.1.1.1"], ["1.1.1.1", "::1", "a b"]):
             line = timeline._line({"kind": "resolution", "payload": ips, "ts": ts})
-            assert fast(line[:-1]) == (Resolution, Resolution(
-                utc(2021, 1, 1), None if ips is None else frozenset(ips)))
+            assert fast(line[:-1]) == DomainTimeline("x.com", resolutions=[Resolution(
+                day, None if ips is None else frozenset(ips))])
         for alive, detail in ((True, "2xx"), (False, ""), (False, "a'b:c")):
+            # an alive probe needs a resolution with addresses before it
+            head = '{"kind":"resolution","payload":[],"ts":"2021-01-01T00:00:00Z"}\n'
             line = timeline._line({"kind": "probe", "ts": ts,
                                    "payload": {"alive": alive, "detail": detail}})
-            assert fast(line[:-1]) == (Probe, Probe(utc(2021, 1, 1), alive, detail))
+            assert fast(head + line[:-1]) == DomainTimeline(
+                "x.com", resolutions=[Resolution(day, frozenset())],
+                probes=[Probe(day, alive, detail)])
+        for reason in ("", "resolver outage for a.com", "a'b:c {x}"):
+            line = timeline._line({"kind": "gap", "payload": reason, "ts": ts})
+            assert fast(line[:-1]) == DomainTimeline("x.com", gaps=[(day, reason)])
+        for fields in (("", "", ""), ("r 1", "CN", "2020-01-01")):
+            line = timeline._line({"kind": "whois", "ts": ts, "payload": dict(
+                zip(("registrant", "country", "created"), fields))})
+            assert fast(line[:-1]) == DomainTimeline("x.com", whois=WhoisRecord(*fields))
         for line in ['{"kind":"resolution","payload":["a\\"b"],"ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"resolution","payload":["é"],"ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"probe","payload":{"alive":true,"detail":"\\u0032xx"},'
                      '"ts":"2021-01-01T00:00:00Z"}',
-                     '{"kind":"probe","payload":{"alive":true,"detail":"2xx"},'
+                     '{"kind":"probe","payload":{"alive":false,"detail":"2xx"},'
                      '"ts":"2021-01-01T00:00:00Z"} ',
-                     '{"kind":"probe","payload":{"alive":true,"detail":"2xx"} ,'
+                     '{"kind":"probe","payload":{"alive":false,"detail":"2xx"} ,'
                      '"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"probe","payload":{"alive":true,"detail":"2xx"},'
+                     '"ts":"2021-01-01T00:00:00Z"}',  # alive with no resolution
                      '{"kind":"resolution","payload":null,"ts":"2021-01-01 00:00:00Z"}',
                      '{"kind":"resolution","payload":null,"ts":"2021-02-30T00:00:00Z"}',
                      '{"kind":"resolution","payload":null,"tz":"2021-01-01T00:00:00Z"}',
-                     '{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"resolution","payload":null,"ts":"2021-01-01T00:00:00Z"}\r',
+                     '{"kind":"gap","payload":"a\\\\b","ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"gap","payload":7,"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z","x":1}',
+                     '{"kind":"whois","payload":{"country":"","created":""},'
+                     '"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"whois","payload":{"registrant":"","country":"","created":""},'
+                     '"ts":"2021-01-01T00:00:00Z"}',
+                     '{"kind":"whois","payload":{"country":"\\u00e9","created":"",'
+                     '"registrant":""},"ts":"2021-01-01T00:00:00Z"}',
+                     '\ufeff{"kind":"gap","payload":"r","ts":"2021-01-01T00:00:00Z"}',
                      '{"kind":"probe","payload":{"alive":true}}',
                      ""]:
             assert fast(line) is None, line
+
+    def test_store_lines_load_without_json(self, tmp_path, monkeypatch):
+        # a store that schedule wrote, with whois, gaps from both backends,
+        # NXDOMAIN answers and empty address sets, loads with no line decoded
+        plan = {"a.com": (["gap", ["1.1.1.1", "2.2.2.2"], None, [], ["1.1.1.1"]],
+                          [200, "gap", None, 503]),
+                "b.com": ([None, "gap", []], [200])}
+        window = Window(utc(2021, 1, 1), utc(2021, 1, 8))
+        out = schedule(sorted(plan), window, timedelta(days=1),
+                       ScriptedResolver({d: r for d, (r, _) in plan.items()}),
+                       ScriptedProber({d: p for d, (_, p) in plan.items()}),
+                       ScriptedWhois({"a.com": {"registrant": "r", "country": "CN"},
+                                      "b.com": {"created": "2020-01-01"}}),
+                       TimelineStore(tmp_path))
+        kinds = {json.loads(line)["kind"] for p in tmp_path.iterdir()
+                 for line in p.read_text().splitlines()}
+        assert kinds == {"resolution", "probe", "gap", "whois"}
+        assert all(t.gaps and t.whois and any(r.ips is None for r in t.resolutions)
+                   and any(r.ips == frozenset() for r in t.resolutions) for t in out.values())
+        assert {reason.split()[0] for t in out.values() for _ts, reason in t.gaps} == \
+            {"resolver", "prober"}
+
+        decoded = []
+        scan = util._scan
+
+        def counting_scan(line, start):
+            decoded.append(line)
+            return scan(line, start)
+
+        monkeypatch.setattr(util, "_scan", counting_scan)
+        store = TimelineStore(tmp_path)
+        assert {d: store.load(d) for d in store.domains()} == out
+        assert decoded == []
+        # the count is live: a line off the store's shapes is decoded
+        with open(tmp_path / "a.com.jsonl", "a") as f:
+            f.write('{"kind": "gap", "payload": "r", "ts": "2021-01-09T00:00:00Z"}\n')
+        assert store.load("a.com").gaps[-1] == (utc(2021, 1, 9), "r")
+        assert len(decoded) == 1
 
 
 class TestSchedule:
@@ -679,6 +742,30 @@ STATUSES = st.one_of(st.just("gap"), st.none(), st.sampled_from([200, 302, 404, 
 WATCH_DOMAINS = ["a.com", "b.net", "c.org"]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("backend,answers", [(ScriptedResolver, ANSWERS),
+                                             (ScriptedProber, STATUSES)])
+def test_scripted_answers_follow_the_index_rule(backend, answers, data):
+    # oracle: the i-th call for a domain answers seq[min(i, len(seq) - 1)]
+    script = data.draw(st.dictionaries(st.sampled_from(WATCH_DOMAINS),
+                                       st.lists(answers, max_size=4), max_size=3))
+    calls = data.draw(st.lists(st.sampled_from(WATCH_DOMAINS + ["unscripted.com"]),
+                               max_size=20))
+    scripted, made = backend(script), {}
+    ask = scripted.resolve if backend is ScriptedResolver else scripted.probe
+    for domain in calls:
+        i = made[domain] = made.get(domain, -1) + 1
+        seq = script.get(domain)
+        want = seq[min(i, len(seq) - 1)] if seq else None
+        if want == "gap":
+            with pytest.raises(BackendUnavailable, match=f"^{scripted.backend} outage for "):
+                ask(domain, None)
+        else:
+            got = ask(domain, None)
+            assert got == (frozenset(want) if type(want) is list else want), (domain, i)
+
+
 @st.composite
 def watch_cases(draw):
     n = draw(st.integers(2, 8))
@@ -723,6 +810,9 @@ class TestScheduleDifferential:
             for d in domains:
                 assert whole[d] == one.load(d)
                 assert resumed[d] == parts.load(d)
+                # kept by the tick path, which skips add_resolution
+                assert whole[d]._first_resolved == one.load(d)._first_resolved
+                assert resumed[d]._first_resolved == whole[d]._first_resolved
             assert resumed == whole
             assert all(r.ts.tzinfo is timezone.utc and r.ts.microsecond == 0
                        for t in whole.values() for r in t.resolutions)

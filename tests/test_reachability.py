@@ -194,6 +194,11 @@ def _watch_runs(d: Path) -> list[list[str]]:
     }
     (d / "script.json").write_text(json.dumps(script))
     (d / "mtimes.json").write_text(json.dumps({"fixed.example": "2020-12-01T08:00:00+08:00"}))
+    # a stored line off the shapes the store writes (spaced, as json.dumps
+    # spaces it), which loads through the checked path
+    (d / "store").mkdir()
+    (d / "store" / "quiet.example.jsonl").write_text(json.dumps(
+        {"kind": "gap", "payload": "before the window", "ts": "2020-12-31T00:00:00Z"}) + "\n")
     base = [str(d / "domains.txt"), "--store", str(d / "store"), "--output",
             str(d / "watch"), "--script", str(d / "script.json"),
             "--manifest-mtimes", str(d / "mtimes.json"), "--window-start", "2021-01-01"]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from apktriage.assoc.features import read_features_jsonl
 from apktriage.assoc.graph import build_graph
-from apktriage.infrawatch.timeline import Probe, Resolution, TimelineStore, WhoisRecord
+from apktriage.infrawatch.timeline import TimelineStore, WhoisRecord, _ts
 from apktriage.payclass.sessions import read_observations_jsonl
 from apktriage.reportcli.taxonomy import read_labels_jsonl
 from apktriage.util import gc_paused, json_lines
@@ -302,9 +302,11 @@ def _store(root, n):
     store.set_whois("x.example", t0, WhoisRecord("reg", "CN", "2020-01-01"))
     for i in range(n):
         ts = t0 + timedelta(days=i)
-        store.append_resolution("x.example", Resolution(ts, frozenset({f"10.0.0.{i % 9}"})))
-        store.append_probe("x.example", Probe(ts, i % 4 != 0, "2xx" if i % 4 else "timeout"))
-        store.append_gap("x.example", ts, "resolver unavailable")
+        for kind, payload in (("resolution", [f"10.0.0.{i % 9}"]),
+                              ("probe", {"alive": i % 4 != 0,
+                                         "detail": "2xx" if i % 4 else "timeout"}),
+                              ("gap", "resolver unavailable")):
+            store.append("x.example", {"ts": _ts(ts), "kind": kind, "payload": payload})
     store.close()
     return store
 
