@@ -31,7 +31,6 @@ _RES_ATTR_NAMES = {0x01010003: "name"}
 
 @dataclass
 class AxmlAttribute:
-    namespace: str
     name: str
     value: object  # str | int | bool
 
@@ -162,7 +161,7 @@ def _parse_start_element(data, pos, chdr, pool, res_map) -> AxmlElement:
     apos = body + attr_start
     for _ in range(attr_count):
         try:
-            a_ns, a_name, _raw, _vsize, _res0, vtype, vdata = struct.unpack_from(
+            _a_ns, a_name, _raw, _vsize, _res0, vtype, vdata = struct.unpack_from(
                 "<IIIHBBI", data, apos)
         except struct.error:
             raise ManifestUndecodable("truncated attribute record") from None
@@ -176,6 +175,6 @@ def _parse_start_element(data, pos, chdr, pool, res_map) -> AxmlElement:
             value = vdata != 0
         else:
             value = vdata
-        elem.attributes.append(AxmlAttribute(pool.get(a_ns), name, value))
+        elem.attributes.append(AxmlAttribute(name, value))
         apos += attr_size
     return elem

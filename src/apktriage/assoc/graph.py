@@ -54,7 +54,8 @@ class DuplicateSampleId(ValueError):
 class AssociationGraph:
     nodes: tuple[str, ...]  # sorted sample ids
     edges: tuple[tuple[str, str, tuple[str, ...]], ...]  # (a, b, rules), a < b
-    groups: tuple[tuple[str, ...], ...]  # connected components, each sorted
+    # connected components, each sorted, by size descending then first id
+    groups: tuple[tuple[str, ...], ...]
 
 
 def _snapshot_blocks(d: int) -> list[tuple[int, int]]:

@@ -14,18 +14,17 @@ class GroupRow:
     rank: int
     size: int
     corpus_pct: float  # size / corpus_size, 2 decimals
-    category_counts: dict[str, int]
     category_pcts: dict[str, float]  # in-group, 1 decimal
     members: tuple[str, ...]
 
 
 def group_stats(g: AssociationGraph, labels: dict, corpus_size: int) -> list[GroupRow]:
-    """Groups sorted by size descending, Table-style composition columns."""
+    """One row per group, ranked in ``g.groups``' order (size descending),
+    with Table-style composition columns."""
     if corpus_size < len(g.nodes):
         raise ValueError("corpus_size smaller than the graph's node count")
     rows = []
-    ordered = sorted(g.groups, key=lambda c: (-len(c), c[0]))
-    for rank, comp in enumerate(ordered, start=1):
+    for rank, comp in enumerate(g.groups, start=1):
         counts = {c: 0 for c in TOP_CATEGORIES}
         for sid in comp:
             top = top_of(labels.get(sid))
@@ -35,7 +34,6 @@ def group_stats(g: AssociationGraph, labels: dict, corpus_size: int) -> list[Gro
             rank=rank,
             size=len(comp),
             corpus_pct=pct(len(comp), corpus_size, 2),
-            category_counts=counts,
             category_pcts={c: pct(n, len(comp), 1) for c, n in counts.items()},
             members=comp,
         ))
@@ -47,9 +45,9 @@ def group_table(rows):
     percentage), then one column per top category."""
     header = ["Rank", "Apps"] + list(TOP_CATEGORIES)
     table = [[r.rank, f"{r.size} ({r.corpus_pct}%)"]
-             + [f"{r.category_pcts.get(c, 0.0)}%" for c in TOP_CATEGORIES]
-             for r in sorted(rows, key=lambda r: r.rank)]
+             + [f"{r.category_pcts[c]}%" for c in TOP_CATEGORIES]
+             for r in rows]
     mirror = [{"rank": r.rank, "size": r.size, "corpus_pct": r.corpus_pct,
-               "category_pcts": dict(r.category_pcts),
+               "category_pcts": r.category_pcts,
                "members": list(r.members)} for r in rows]
     return header, table, mirror

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -24,16 +25,6 @@ class BindingSegment:
         return (self.end - self.start).total_seconds() / 86400.0
 
 
-@dataclass(frozen=True)
-class BindingClassification:
-    domain: str
-    kind: str
-    segments: tuple[BindingSegment, ...]
-    mean_binding_days: float
-    shared_same_period: bool = False
-    shared_cross_period: bool = False
-
-
 def binding_segments(t: DomainTimeline) -> tuple[BindingSegment, ...]:
     """Run-length encoding of the resolved IP set; a change of set (or an
     NXDOMAIN answer) starts a new segment."""
@@ -52,67 +43,42 @@ def binding_segments(t: DomainTimeline) -> tuple[BindingSegment, ...]:
     return tuple(segments)
 
 
-def _overlaps(a: BindingSegment, b: BindingSegment) -> bool:
-    return a.start <= b.end and b.start <= a.end
-
-
-def classify_bindings(timelines) -> tuple[dict[str, BindingClassification], dict]:
+def classify_bindings(timelines) -> tuple[dict[str, str], dict]:
     """``classify_segments`` of the binding segments of each timeline."""
     return classify_segments({t.domain: binding_segments(t) for t in timelines})
 
 
 def classify_segments(per_domain: dict[str, tuple[BindingSegment, ...]]
-                      ) -> tuple[dict[str, BindingClassification], dict]:
-    """Classify each monitored domain from its binding segments and
-    summarize the population; means are summed in the mapping's order.
+                      ) -> tuple[dict[str, str], dict]:
+    """The binding kind of each monitored domain, and a summary of the
+    population whose mean is summed over the flexible segments in the
+    mapping's order.
 
-    Flexible = at least two distinct IPs ever resolved. Type-I shares an
-    IP with another monitored domain's bindings at any time (same-period
-    and cross-period sharing both count, reported as sub-flags); type-II
-    never shares. Domains with zero or one distinct IP are Fixed.
+    Flexible = at least two distinct IPs ever resolved; domains with zero
+    or one distinct IP are Fixed. A flexible domain is type I when one of
+    its distinct IPs is also a distinct IP of another monitored domain,
+    whether or not their bindings overlap in time; type II otherwise.
     """
     distinct = {domain: set().union(*[s.ips for s in segs])
                 for domain, segs in per_domain.items()}
+    domains_of = Counter(ip for ips in distinct.values() for ip in ips)
+    kinds = {domain: KIND_FIXED if len(ips) < 2
+             else KIND_FLEXIBLE_I if any(domains_of[ip] > 1 for ip in ips)
+             else KIND_FLEXIBLE_II
+             for domain, ips in distinct.items()}
 
-    # ip -> [(domain, segment)] for the sharing check
-    by_ip: dict[str, list[tuple[str, BindingSegment]]] = {}
-    for domain, segs in per_domain.items():
-        for s in segs:
-            for ip in s.ips:
-                by_ip.setdefault(ip, []).append((domain, s))
-
-    result: dict[str, BindingClassification] = {}
-    for domain, segs in per_domain.items():
-        mean_days = (sum(s.days for s in segs) / len(segs)) if segs else 0.0
-        if len(distinct[domain]) < 2:
-            result[domain] = BindingClassification(domain, KIND_FIXED, segs, mean_days)
-            continue
-        same = cross = False
-        for s in segs:
-            for ip in s.ips:
-                for other_domain, other_seg in by_ip.get(ip, ()):
-                    if other_domain == domain:
-                        continue
-                    if _overlaps(s, other_seg):
-                        same = True
-                    else:
-                        cross = True
-        kind = KIND_FLEXIBLE_I if (same or cross) else KIND_FLEXIBLE_II
-        result[domain] = BindingClassification(domain, kind, segs, mean_days,
-                                               shared_same_period=same,
-                                               shared_cross_period=cross)
-
-    flexible = [c for c in result.values() if c.kind != KIND_FIXED]
-    flex_segments = [s for c in flexible for s in c.segments]
+    flex_days = [s.days for domain, segs in per_domain.items()
+                 if kinds[domain] != KIND_FIXED for s in segs]
+    counts = Counter(kinds.values())
+    flexible = counts[KIND_FLEXIBLE_I] + counts[KIND_FLEXIBLE_II]
     summary = {
-        "domains": len(result),
-        "fixed": sum(1 for c in result.values() if c.kind == KIND_FIXED),
-        "flexible": len(flexible),
-        "type1": sum(1 for c in flexible if c.kind == KIND_FLEXIBLE_I),
-        "type2": sum(1 for c in flexible if c.kind == KIND_FLEXIBLE_II),
-        "flexible_fraction": len(flexible) / len(result) if result else 0.0,
-        "mean_binding_days": round_half_up(
-            sum(s.days for s in flex_segments) / len(flex_segments), 2)
-        if flex_segments else 0.0,
+        "domains": len(kinds),
+        "fixed": counts[KIND_FIXED],
+        "flexible": flexible,
+        "type1": counts[KIND_FLEXIBLE_I],
+        "type2": counts[KIND_FLEXIBLE_II],
+        "flexible_fraction": flexible / len(kinds) if kinds else 0.0,
+        "mean_binding_days": round_half_up(sum(flex_days) / len(flex_days), 2)
+        if flex_days else 0.0,
     }
-    return result, summary
+    return kinds, summary

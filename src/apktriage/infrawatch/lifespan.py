@@ -43,12 +43,11 @@ def lifespan(t: DomainTimeline, manifest_mtime: datetime) -> LifespanRecord:
 
 
 def lifespan_table(records):
-    """(header, rows, mirror) of lifespan records, sorted by domain."""
-    ordered = sorted(records, key=lambda r: r.domain)
+    """(header, rows, mirror) of lifespan records, in the order given."""
     header = ["Domain", "Start", "End", "EndKind", "Days"]
     rows = [[r.domain, r.start.isoformat(), r.end.isoformat(), r.end_kind, r.days]
-            for r in ordered]
+            for r in records]
     mirror = [{"domain": r.domain, "start": r.start.isoformat(),
                "end": r.end.isoformat(), "end_kind": r.end_kind,
-               "days": r.days} for r in ordered]
+               "days": r.days} for r in records]
     return header, rows, mirror

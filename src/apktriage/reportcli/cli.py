@@ -278,14 +278,14 @@ def cmd_watch(args) -> int:
     _watch_job = (args.store, window, cadence, backends, mtimes)
     try:
         watched = dict(_in_tasks(_watch_task, domains, _WATCH_CHUNK))
-        # sorted store order: classify_segments sums floats in this order
+        # sorted store order, kept by the lifespan rows and classify_segments' sums
         outcomes = {d: watched[d] if d in watched else _watch_outcome(store.load(d))
                     for d in store.domains()}
     finally:
         _watch_job = None
     records = [record for record, _segments in outcomes.values() if record is not None]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
-    _classes, summary = classify_segments({d: segs for d, (_r, segs) in outcomes.items()})
+    _kinds, summary = classify_segments({d: segs for d, (_r, segs) in outcomes.items()})
     _write(args.output + ".bindings.json", _json_string(summary))
     return EXIT_OK
 

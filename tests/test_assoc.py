@@ -545,8 +545,8 @@ class TestGroupStats:
         rows = group_stats(g, labels, corpus_size=8)
         assert rows[0].size == 4
         assert rows[0].corpus_pct == 50.0
-        assert rows[0].category_counts["Financial"] == 2
-        assert rows[0].category_pcts["Financial"] == 50.0
+        assert rows[0].category_pcts == {"Sex": 25.0, "Gambling": 25.0, "Financial": 50.0,
+                                         "Service": 0.0, "AuxiliaryTool": 0.0}
 
     def test_corpus_size_validation(self):
         g = build_graph([make_sample("a")])

@@ -1,6 +1,8 @@
 """Binary-XML parser tests against the independent serializer, including
 golden fixtures, mutation rejection and determinism."""
 
+import struct
+
 import pytest
 
 from apktriage.apkcore.axml import parse_axml
@@ -83,6 +85,38 @@ def test_mutations_rejected(what):
     data = build_manifest(**GOLDEN[1])
     with pytest.raises(ManifestUndecodable):
         parse_manifest(_mutate(data, what))
+
+
+def _patch_attributes(data: bytes, field: int) -> bytes:
+    """``data`` with the 32-bit word at byte ``field`` of every attribute
+    record set to an index past the end of any string pool. An attribute
+    record is 20 bytes: namespace, name and raw-value indices, then the
+    typed value (size, reserved, type, data word at byte 16)."""
+    b = bytearray(data)
+    pos = int.from_bytes(data[2:4], "little")
+    while pos < len(data):
+        ctype, chdr, csize = struct.unpack_from("<HHI", data, pos)
+        if ctype == 0x0102:  # start element: attribute start, size, count at +8
+            start, size, count = struct.unpack_from("<HHH", data, pos + chdr + 8)
+            for k in range(count):
+                at = pos + chdr + start + k * size + field
+                b[at:at + 4] = (0x7FFFFFFF).to_bytes(4, "little")
+        pos += csize
+    return bytes(b)
+
+
+def test_attribute_namespace_index_is_not_resolved():
+    # no output reads an attribute's namespace, so an index out of range
+    # decodes like the manifest it was patched from
+    data = build_manifest(**GOLDEN[0])
+    assert parse_manifest(_patch_attributes(data, 0)) == parse_manifest(data)
+
+
+@pytest.mark.parametrize("field", [4, 16], ids=["name", "string_value"])
+def test_out_of_range_attribute_index_rejected(field):
+    # the root's first attribute, ``package``, is named and valued by the pool
+    with pytest.raises(ManifestUndecodable, match="out of range"):
+        parse_manifest(_patch_attributes(build_manifest(**GOLDEN[0]), field))
 
 
 def test_attribute_types():

@@ -30,6 +30,7 @@ from apktriage.infrawatch.bindings import (
     KIND_FLEXIBLE_II,
     binding_segments,
     classify_bindings,
+    classify_segments,
 )
 from apktriage.infrawatch.lifespan import (
     END_DEAD_BEFORE_FIRST,
@@ -38,6 +39,7 @@ from apktriage.infrawatch.lifespan import (
     lifespan,
 )
 from apktriage.infrawatch.registrants import registrant_stats
+from apktriage.reportcli.emit import _json_string
 from apktriage import util
 from apktriage.infrawatch import timeline
 from apktriage.infrawatch.schedule import Window, schedule, ticks
@@ -958,11 +960,73 @@ class TestLifespan:
         assert rec.days == 0
 
 
+IP_POOL = ("1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4", "5.5.5.5")
+
+
+@st.composite
+def binding_map_st(draw):
+    """Binding segments of up to six domains, from answers at a regular
+    cadence: IP sets from a small pool (so IPs are shared, in the same
+    period or across periods), NXDOMAIN (None), or no answer at all."""
+    per_domain = {}
+    for i in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, 12))
+        step = draw(st.sampled_from((1, 0.3, 1 / 3)))
+        answers = draw(st.lists(st.none() | st.frozensets(
+            st.sampled_from(IP_POOL), min_size=1, max_size=2), max_size=8))
+        t = simple_timeline(f"d{i}.example",
+                            [(start + k * step, ips, None) for k, ips in enumerate(answers)])
+        per_domain[t.domain] = binding_segments(t)
+    return per_domain
+
+
+def overlap_loop_classes(per_domain):
+    """Oracle for ``classify_segments``: each flexible domain's segments
+    tested against every other domain's segments holding one of their IPs,
+    with a flag for an overlapping (same-period) and a disjoint
+    (cross-period) match; either flag makes the domain type I."""
+    by_ip = {}
+    for domain, segs in per_domain.items():
+        for s in segs:
+            for ip in s.ips:
+                by_ip.setdefault(ip, []).append((domain, s))
+    kinds = {}
+    for domain, segs in per_domain.items():
+        if len(set().union(*[s.ips for s in segs])) < 2:
+            kinds[domain] = KIND_FIXED
+            continue
+        same = cross = False
+        for s in segs:
+            for ip in s.ips:
+                for other_domain, other in by_ip.get(ip, ()):
+                    if other_domain == domain:
+                        continue
+                    if s.start <= other.end and other.start <= s.end:
+                        same = True
+                    else:
+                        cross = True
+        kinds[domain] = KIND_FLEXIBLE_I if (same or cross) else KIND_FLEXIBLE_II
+    flexible = [d for d, kind in kinds.items() if kind != KIND_FIXED]
+    flex_segments = [s for d in flexible for s in per_domain[d]]
+    summary = {
+        "domains": len(kinds),
+        "fixed": sum(1 for kind in kinds.values() if kind == KIND_FIXED),
+        "flexible": len(flexible),
+        "type1": sum(1 for d in flexible if kinds[d] == KIND_FLEXIBLE_I),
+        "type2": sum(1 for d in flexible if kinds[d] == KIND_FLEXIBLE_II),
+        "flexible_fraction": len(flexible) / len(kinds) if kinds else 0.0,
+        "mean_binding_days": util.round_half_up(
+            sum(s.days for s in flex_segments) / len(flex_segments), 2)
+        if flex_segments else 0.0,
+    }
+    return kinds, summary
+
+
 class TestBindings:
     def test_fixed_single_ip(self):
         t = simple_timeline("x.com", [(d, ["9.9.9.9"], 200) for d in range(5)])
         result, summary = classify_bindings([t])
-        assert result["x.com"].kind == KIND_FIXED
+        assert result["x.com"] == KIND_FIXED
         assert summary["fixed"] == 1
 
     def test_same_period_sharing_type1(self):
@@ -972,9 +1036,8 @@ class TestBindings:
         b = simple_timeline("yuereee.top", [(0, ["47.74.14.254"], 200),
                                             (5, ["5.6.7.8"], 200)])
         result, _ = classify_bindings([a, b])
-        assert result["yg19.top"].kind == KIND_FLEXIBLE_I
-        assert result["yuereee.top"].kind == KIND_FLEXIBLE_I
-        assert result["yg19.top"].shared_same_period
+        assert result["yg19.top"] == KIND_FLEXIBLE_I
+        assert result["yuereee.top"] == KIND_FLEXIBLE_I
 
     def test_cross_period_reuse_type1(self):
         # 157.240.20.18 used by uk919.com first, facai1788.com later
@@ -983,16 +1046,15 @@ class TestBindings:
         b = simple_timeline("facai1788.com", [(20, ["8.8.8.8"], 200),
                                               (30, ["157.240.20.18"], 200)])
         result, _ = classify_bindings([a, b])
-        assert result["uk919.com"].kind == KIND_FLEXIBLE_I
-        assert result["facai1788.com"].kind == KIND_FLEXIBLE_I
-        assert result["uk919.com"].shared_cross_period
+        assert result["uk919.com"] == KIND_FLEXIBLE_I
+        assert result["facai1788.com"] == KIND_FLEXIBLE_I
 
     def test_type2_no_sharing(self):
         a = simple_timeline("solo.com", [(0, ["1.1.1.1"], 200),
                                          (5, ["2.2.2.2"], 200)])
         b = simple_timeline("other.com", [(0, ["3.3.3.3"], 200)])
         result, summary = classify_bindings([a, b])
-        assert result["solo.com"].kind == KIND_FLEXIBLE_II
+        assert result["solo.com"] == KIND_FLEXIBLE_II
         assert summary["type2"] == 1
 
     def test_segments_run_length(self):
@@ -1013,6 +1075,14 @@ class TestBindings:
                                       (7, ["2.2.2.2"], 200)])
         _, summary = classify_bindings([t])
         assert summary["mean_binding_days"] == 3.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(binding_map_st())
+    def test_kinds_and_summary_match_the_overlap_loop(self, per_domain):
+        kinds, summary = classify_segments(per_domain)
+        want_kinds, want_summary = overlap_loop_classes(per_domain)
+        assert kinds == want_kinds
+        assert _json_string(summary) == _json_string(want_summary)
 
 
 class TestRegistrants:

@@ -11,6 +11,11 @@ process on any CPU count.
 Every ``def`` is listed with ``ast``. One that no verb calls fails the
 test, unless it is on ``ALLOWED`` below with its reason; an allowlisted
 function that a verb does call, or that no longer exists, fails it too.
+
+Every annotated field of a class is listed the same way. One whose name
+no ``src`` code reads as an attribute fails, unless it is on
+``FIELDS_ALLOWED`` with its reason; an allowlisted field that is read, or
+that no longer exists, fails too.
 """
 
 import ast
@@ -58,6 +63,12 @@ ALLOWED = {
     "infrawatch.backends:DnsResolver.resolve": "needs the network; the fixtures are scripted",
     "infrawatch.backends:HttpProber.probe": "needs the network; the fixtures are scripted",
     "reportcli.cli:_run_task": "runs only in pool workers, which the profiler does not see",
+}
+
+# "module:Class.field" of each field that no src code reads, with why it stays
+FIELDS_ALLOWED = {
+    "infrawatch.timeline:Probe.detail":
+        "the store writes and checks a probe's reason, but no output reads it yet",
 }
 
 
@@ -244,4 +255,31 @@ def test_every_function_is_reached_or_allowed(tmp_path):
         ("no verb calls these functions", defined - reached - ALLOWED.keys()),
         ("allowlisted but not defined", ALLOWED.keys() - defined),
         ("allowlisted but a verb calls them", ALLOWED.keys() & reached)) if names]
+    assert not problems, "; ".join(problems)
+
+
+def fields_and_reads(root: Path) -> tuple[dict[str, str], set[str]]:
+    """``"module:Class.field" -> field`` of every annotated field of a class
+    under ``root``, and the set of names that code there reads as an
+    attribute (``x.name`` in a load)."""
+    fields, reads = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{module}:{node.name}.{stmt.target.id}"] = stmt.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return fields, reads
+
+
+def test_every_field_is_read_or_allowed():
+    fields, reads = fields_and_reads(SRC)
+    unread = {key for key, name in fields.items() if name not in reads}
+    problems = [f"{what}: {', '.join(sorted(keys))}" for what, keys in (
+        ("no src code reads these fields", unread - FIELDS_ALLOWED.keys()),
+        ("allowlisted but not defined", FIELDS_ALLOWED.keys() - fields.keys()),
+        ("allowlisted but read", FIELDS_ALLOWED.keys() & (fields.keys() - unread))) if keys]
     assert not problems, "; ".join(problems)

@@ -185,8 +185,9 @@ def test_label_shapes_share_one_top_reader(lab, top):
     g = build_graph([make_sample("s1"), make_sample("s2")])
     rows = group_stats(g, {"s1": lab, "s2": "Sex"}, corpus_size=2)
     assert [r.members for r in rows] == [("s1",), ("s2",)]
-    assert rows[0].category_counts == {c: int(c == top) for c in TOP_CATEGORIES}
-    assert rows[1].category_counts == {c: int(c == "Sex") for c in TOP_CATEGORIES}
+    # each group has one member, so a counted top reads 100%
+    assert rows[0].category_pcts == {c: 100.0 * (c == top) for c in TOP_CATEGORIES}
+    assert rows[1].category_pcts == {c: 100.0 * (c == "Sex") for c in TOP_CATEGORIES}
     # a label without a top counts in the corpus size only
     dist = corpus_report([lab, "Sex"]).category_distribution
     assert dist == {"Sex": (1, 50.0), **({top: (1, 50.0)} if top else {})}
