@@ -44,7 +44,8 @@ _TASKS_PER_WORKER = 2
 # workers inherit it, so none of it is loaded or pickled again.
 _refs = None
 # The store root, window, cadence, backends and packing times of the
-# running watch, set by cmd_watch; forked workers inherit them.
+# running watch, set by cmd_watch; forked workers inherit them, and the
+# parent drops the backends once it has a first result.
 _watch_job = None
 
 
@@ -220,13 +221,13 @@ def cmd_assoc(args) -> int:
 
 def _watch_outcome(t):
     """The lifespan record of timeline t (None without probes) and its
-    binding segments."""
-    from apktriage.infrawatch.bindings import binding_segments
+    binding summary."""
+    from apktriage.infrawatch.bindings import binding_summary
     from apktriage.infrawatch.lifespan import lifespan
 
     _root, window, _cadence, _backends, mtimes = _watch_job
     record = lifespan(t, mtimes.get(t.domain, window.start)) if t.probes else None
-    return record, binding_segments(t)
+    return record, binding_summary(t)
 
 
 def _watch_task(domains):
@@ -276,16 +277,22 @@ def cmd_watch(args) -> int:
         store.path(d)
     global _watch_job
     _watch_job = (args.store, window, cadence, backends, mtimes)
+    backends = None
     try:
-        watched = dict(_in_tasks(_watch_task, domains, _WATCH_CHUNK))
+        results = _in_tasks(_watch_task, domains, _WATCH_CHUNK)
+        watched = dict(itertools.islice(results, 1))
+        # every worker has forked, or serially every tick has run: the
+        # parent drops the backends and the script they hold
+        _watch_job = (args.store, window, cadence, None, mtimes)
+        watched.update(results)
         # sorted store order, kept by the lifespan rows and classify_segments' sums
         outcomes = {d: watched[d] if d in watched else _watch_outcome(store.load(d))
                     for d in store.domains()}
     finally:
         _watch_job = None
-    records = [record for record, _segments in outcomes.values() if record is not None]
+    records = [record for record, _summary in outcomes.values() if record is not None]
     emit_report(args.output + ".lifespan", *lifespan_table(records))
-    _kinds, summary = classify_segments({d: segs for d, (_r, segs) in outcomes.items()})
+    _kinds, summary = classify_segments({d: s for d, (_r, s) in outcomes.items()})
     _write(args.output + ".bindings.json", _json_string(summary))
     return EXIT_OK
 

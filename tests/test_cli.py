@@ -694,20 +694,20 @@ POOL_PLAN = {f"d{i}.example": _pool_plan(i) for i in range(7)}
 POOL_SPLIT = 3
 
 
-def _pool_watch_argv(tmp_path, store, name, part):
+def _pool_watch_argv(tmp_path, store, name, part, plans=POOL_PLAN):
     domains = tmp_path / "pool-domains.txt"
-    domains.write_text("".join(d + "\n" for d in POOL_PLAN))
-    last = (part.stop or len(POOL_PLAN["d0.example"])) - 1
+    domains.write_text("".join(d + "\n" for d in plans))
+    last = (part.stop or len(next(iter(plans.values())))) - 1
     return ["watch", str(domains), "--store", str(store), "--output", str(tmp_path / name),
             "--window-start", "2021-01-01", "--window-end", f"2021-01-{last + 1:02}",
-            "--script", _watch_script(tmp_path / f"{name}.script.json", part, POOL_PLAN)]
+            "--script", _watch_script(tmp_path / f"{name}.script.json", part, plans)]
 
 
-def _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store, part):
+def _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store, part, plans=POOL_PLAN):
     """(exit code, outputs, store bytes, stderr lines) of one watch run."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
     name = f"w{cpus}"
-    rc = main(_pool_watch_argv(tmp_path, store, name, part))
+    rc = main(_pool_watch_argv(tmp_path, store, name, part, plans))
     assert multiprocessing.active_children() == []
     outputs = {ext: (tmp_path / f"{name}{ext}").read_bytes() for ext in WATCH_OUTPUTS
                if (tmp_path / f"{name}{ext}").exists()}
@@ -754,6 +754,95 @@ def test_watch_pooled_matches_serial(tmp_path, capsys, monkeypatch):
     assert summary["domains"] == 8 and summary["type1"] > 0
     lifespans = json.loads(outputs[".lifespan.json"])
     assert [r["domain"] for r in lifespans] == list(POOL_PLAN) + ["z.example"]
+
+
+def _rotating_plan(i):
+    """Twelve ticks on which domain i resolves to a new address set each
+    time, with NXDOMAIN, empty-set and outage ticks mixed in. Every domain
+    but the last also takes an address of a small pool shared between
+    domains on some ticks, so that both flexible types occur."""
+    plan = []
+    for k in range(12):
+        ips = [f"10.{i}.{k}.1", f"10.{i}.{k}.2"][:1 + (i + k) % 2]
+        if i < 5 and (i + k) % 3 == 0:
+            ips.append(f"10.200.0.{k % 2}")
+        kind = (i + k) % 5
+        if kind == 1 and k % 2:
+            plan.append(["gap", None])  # resolver outage
+        elif kind == 2:
+            plan.append([None, None])  # NXDOMAIN
+        elif kind == 3 and k % 2:
+            plan.append([[], None])  # no addresses
+        else:
+            plan.append([ips, ("gap", 200, 503)[k % 3]])
+    return plan
+
+
+# six domains in tasks of two (cli._WATCH_CHUNK patched): three tasks,
+# which two CPUs run in two workers
+ROTATING_PLAN = {f"r{i}.example": _rotating_plan(i) for i in range(6)}
+
+
+def test_watch_rotating_addresses_pooled_matches_serial_and_the_oracle(tmp_path, capsys,
+                                                                      monkeypatch):
+    from apktriage.infrawatch.bindings import classify_bindings
+    from apktriage.infrawatch.timeline import TimelineStore
+    from apktriage.reportcli.emit import _json_string
+    from test_infrawatch import binding_segments, overlap_loop_classes
+
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    runs = []
+    for cpus in (2, 1):
+        store = tmp_path / f"store{cpus}"
+        fresh = _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store, slice(0, 5),
+                                 ROTATING_PLAN)
+        resumed = _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus, store,
+                                   slice(5, None), ROTATING_PLAN)
+        assert fresh[0] == resumed[0] == 0 and fresh[3] == resumed[3] == []
+        runs.append((fresh, resumed))
+    assert runs[0] == runs[1]
+
+    store = TimelineStore(tmp_path / "store1")
+    timelines = [store.load(d) for d in store.domains()]
+    assert [t.domain for t in timelines] == list(ROTATING_PLAN)
+    assert all(t.gaps for t in timelines)
+    want_kinds, want_summary = overlap_loop_classes(
+        {t.domain: binding_segments(t) for t in timelines})
+    kinds, _summary = classify_bindings(timelines)
+    assert kinds == want_kinds
+    _rc, outputs, _stores, _err = runs[1][1]  # the serial resume
+    assert outputs[".bindings.json"] == _json_string(want_summary).encode()
+    assert want_summary["type1"] == 5 and want_summary["type2"] == 1
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "serial"])
+def test_watch_releases_the_scripted_backends_before_the_report(tmp_path, capsys,
+                                                               monkeypatch, cpus):
+    import weakref
+
+    from apktriage.infrawatch.backends import ScriptedResolver
+    from apktriage.reportcli import emit
+
+    init, emit_report = ScriptedResolver.__init__, emit.emit_report
+    resolvers, alive = [], []
+
+    def recording(self, script):
+        init(self, script)
+        resolvers.append(weakref.ref(self))
+
+    def emitting(out_base, *table):
+        if out_base.endswith(".lifespan"):
+            alive.extend(r() is not None for r in resolvers)
+        return emit_report(out_base, *table)
+
+    monkeypatch.setattr(ScriptedResolver, "__init__", recording)
+    monkeypatch.setattr(emit, "emit_report", emitting)
+    monkeypatch.setattr(cli, "_WATCH_CHUNK", 2)
+    rc, outputs, _stores, err = _watch_with_cpus(tmp_path, capsys, monkeypatch, cpus,
+                                                 tmp_path / "store", slice(None))
+    assert (rc, err) == (0, [])
+    assert ".lifespan.csv" in outputs
+    assert len(resolvers) == 1 and alive == [False]
 
 
 def _freeze_counts(items):

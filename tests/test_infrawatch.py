@@ -6,6 +6,7 @@ import socket
 import sys
 import tempfile
 import types
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -28,7 +29,7 @@ from apktriage.infrawatch.bindings import (
     KIND_FIXED,
     KIND_FLEXIBLE_I,
     KIND_FLEXIBLE_II,
-    binding_segments,
+    binding_summary,
     classify_bindings,
     classify_segments,
 )
@@ -963,21 +964,62 @@ class TestLifespan:
 IP_POOL = ("1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4", "5.5.5.5")
 
 
+@dataclass(frozen=True)
+class BindingSegment:
+    ips: frozenset[str]
+    start: datetime
+    end: datetime
+
+    @property
+    def days(self) -> float:
+        return (self.end - self.start).total_seconds() / 86400.0
+
+
+def binding_segments(t):
+    """Oracle for ``binding_summary``: the run-length encoding of the
+    resolved IP set; a change of set (or an NXDOMAIN or empty answer)
+    starts a new segment."""
+    segments = []
+    current = None
+    start = last = None
+    for r in t.resolutions:
+        ips = r.ips if r.ips else None
+        if ips != current:
+            if current is not None:
+                segments.append(BindingSegment(current, start, last))
+            current, start = ips, r.ts
+        last = r.ts
+    if current is not None:
+        segments.append(BindingSegment(current, start, last))
+    return tuple(segments)
+
+
+def summary_of_segments(segs):
+    """What ``binding_summary`` gives for a timeline with these segments."""
+    ips = frozenset().union(*[s.ips for s in segs])
+    return ips, tuple(s.days for s in segs) if len(ips) > 1 else ()
+
+
 @st.composite
-def binding_map_st(draw):
-    """Binding segments of up to six domains, from answers at a regular
-    cadence: IP sets from a small pool (so IPs are shared, in the same
-    period or across periods), NXDOMAIN (None), or no answer at all."""
-    per_domain = {}
+def binding_timelines_st(draw):
+    """Timelines of up to six domains, from answers at a regular cadence:
+    IP sets from a small pool (so sets repeat, and IPs are shared in the
+    same period or across periods), empty sets, NXDOMAIN (None), or an
+    outage that stores a gap and no resolution."""
+    timelines = []
     for i in range(draw(st.integers(0, 6))):
-        start = draw(st.integers(0, 12))
-        step = draw(st.sampled_from((1, 0.3, 1 / 3)))
-        answers = draw(st.lists(st.none() | st.frozensets(
-            st.sampled_from(IP_POOL), min_size=1, max_size=2), max_size=8))
-        t = simple_timeline(f"d{i}.example",
-                            [(start + k * step, ips, None) for k, ips in enumerate(answers)])
-        per_domain[t.domain] = binding_segments(t)
-    return per_domain
+        t = DomainTimeline(domain=f"d{i}.example")
+        start = utc(2021, 1, 1) + timedelta(days=draw(st.integers(0, 12)))
+        step = timedelta(days=draw(st.sampled_from((1, 0.3, 1 / 3))))
+        answers = draw(st.lists(st.none() | st.just("gap") | st.frozensets(
+            st.sampled_from(IP_POOL), max_size=2), max_size=8))
+        for k, ips in enumerate(answers):
+            if ips == "gap":
+                t.gaps.append((start + k * step, "resolver outage"))
+            else:
+                t.add_resolution(Resolution(start + k * step, ips))
+        timelines.append(t)
+    return timelines
 
 
 def overlap_loop_classes(per_domain):
@@ -1061,11 +1103,14 @@ class TestBindings:
         t = simple_timeline("x.com", [
             (0, ["1.1.1.1"], 200), (1, ["1.1.1.1"], 200),
             (2, ["2.2.2.2"], 200), (3, None, 500),
-            (4, ["1.1.1.1"], 200)])
-        segs = binding_segments(t)
-        assert [sorted(s.ips) for s in segs] == [["1.1.1.1"], ["2.2.2.2"],
-                                                ["1.1.1.1"]]
-        assert segs[0].days == 1.0
+            (4, ["1.1.1.1"], 200), (5, [], None), (6, ["1.1.1.1"], 200),
+            (8, ["1.1.1.1"], 200)])
+        assert binding_summary(t) == (frozenset({"1.1.1.1", "2.2.2.2"}),
+                                      (1.0, 0.0, 0.0, 2.0))
+        fixed = simple_timeline("y.com", [(0, ["1.1.1.1"], 200), (3, None, 500),
+                                          (4, ["1.1.1.1"], 200)])
+        assert binding_summary(fixed) == (frozenset({"1.1.1.1"}), ())
+        assert binding_summary(DomainTimeline(domain="z.com")) == (frozenset(), ())
 
     def test_mean_binding_days_hand_arithmetic(self):
         # flexible domain with segments of 2 and 4 days -> mean 3.0
@@ -1077,10 +1122,17 @@ class TestBindings:
         assert summary["mean_binding_days"] == 3.0
 
     @settings(max_examples=400, deadline=None)
-    @given(binding_map_st())
-    def test_kinds_and_summary_match_the_overlap_loop(self, per_domain):
-        kinds, summary = classify_segments(per_domain)
-        want_kinds, want_summary = overlap_loop_classes(per_domain)
+    @given(binding_timelines_st())
+    def test_summary_matches_the_segments(self, timelines):
+        for t in timelines:
+            assert binding_summary(t) == summary_of_segments(binding_segments(t))
+
+    @settings(max_examples=400, deadline=None)
+    @given(binding_timelines_st())
+    def test_kinds_and_summary_match_the_overlap_loop(self, timelines):
+        kinds, summary = classify_segments({t.domain: binding_summary(t) for t in timelines})
+        want_kinds, want_summary = overlap_loop_classes(
+            {t.domain: binding_segments(t) for t in timelines})
         assert kinds == want_kinds
         assert _json_string(summary) == _json_string(want_summary)
 

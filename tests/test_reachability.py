@@ -45,7 +45,8 @@ ALLOWED = {
     "assoc.rules:shared_ip": _PAIR_REFERENCE,
     "assoc.rules:assoc_snapshot": _PAIR_REFERENCE,
     "assoc.rules:fired_rules": _PAIR_REFERENCE + "; a benchmark trace target",
-    "infrawatch.bindings:classify_bindings": "a benchmark trace target",
+    "infrawatch.bindings:classify_bindings":
+        "a benchmark trace target; cmd_watch classifies the workers' binding summaries",
     "infrawatch.registrants:registrant_stats": "acceptance criterion 8",
     "reportcli.aggregate:generator_stats": _PAPER_TABLE,
     "reportcli.aggregate:paradigm_stats": _PAPER_TABLE,
